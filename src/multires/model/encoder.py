@@ -14,9 +14,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from multires.errors import ConfigError, ContractError, DegenerateVectorError, ShapeError
+from multires.errors import ConfigError, ContractError, ShapeError
 from multires.numerics import kernels
-from multires.numerics.ops import NORM_FLOOR
+from multires.numerics.ops import (
+    l2_normalize,
+    l2_normalize_backward,
+    mean_over_positions,
+    mean_over_positions_backward,
+    relu,
+    relu_backward,
+)
 
 DEFAULT_WINDOW = 5
 DEFAULT_SCALE = 0.05
@@ -163,11 +170,13 @@ def zero_convrr_params(
     return ConvRRParams(blocks=blocks, window=window, scale=scale)
 
 
-def _normalize_rows(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    norms = np.linalg.norm(raw, axis=1)
-    if np.any(norms <= NORM_FLOOR):
-        raise DegenerateVectorError("encoder output with norm at the floor (all-zero text?)")
-    return raw / norms[:, None], norms
+def _check_batch(xs: np.ndarray, dim: int) -> None:
+    if xs.ndim != 3:
+        raise ShapeError(f"expected B x k x d batch, got {xs.shape}")
+    if xs.shape[2] != dim:
+        raise ShapeError(f"input dim {xs.shape[2]} != encoder dim {dim}")
+    if xs.shape[1] < 1:
+        raise ShapeError("texts must have at least one position")
 
 
 # --- convolutional encoder, batched over texts of equal length ---
@@ -175,12 +184,7 @@ def _normalize_rows(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def convrr_forward_many(xs: np.ndarray, params: ConvRRParams) -> tuple[np.ndarray, dict]:
     """xs (B,k,d'') -> unit rows (B,d'') plus the cache for the backward pass."""
-    if xs.ndim != 3:
-        raise ShapeError(f"expected B x k x d batch, got {xs.shape}")
-    if xs.shape[2] != params.dim:
-        raise ShapeError(f"input dim {xs.shape[2]} != encoder dim {params.dim}")
-    if xs.shape[1] < 1:
-        raise ShapeError("texts must have at least one position")
+    _check_batch(xs, params.dim)
     h = xs
     pre_acts = []
     block_inputs = []
@@ -188,43 +192,27 @@ def convrr_forward_many(xs: np.ndarray, params: ConvRRParams) -> tuple[np.ndarra
         block_inputs.append(h)
         z = kernels.conv_forward(h, blk.kernels, blk.bias)
         pre_acts.append(z)
-        h = np.maximum(z, 0)
-    pooled = h.mean(axis=1)
-    residual = xs.mean(axis=1)
-    raw = params.scale * pooled + residual
-    out, norms = _normalize_rows(raw)
-    cache = {
-        "xs": xs,
-        "pre_acts": pre_acts,
-        "block_inputs": block_inputs,
-        "raw": raw,
-        "norms": norms,
-        "out": out,
-    }
-    return out, cache
+        h = relu(z)
+    raw = params.scale * mean_over_positions(h) + mean_over_positions(xs)
+    cache = {"pre_acts": pre_acts, "block_inputs": block_inputs, "raw": raw}
+    return l2_normalize(raw), cache
 
 
 def convrr_backward_many(
     params: ConvRRParams, cache: dict, upstream: np.ndarray
 ) -> tuple[list[np.ndarray], np.ndarray]:
     """Gradients of the batched forward: (per-tensor grads, grad wrt xs)."""
-    out, norms = cache["out"], cache["norms"]
-    if upstream.shape != out.shape:
-        raise ShapeError(f"upstream {upstream.shape} != output {out.shape}")
-    k = cache["xs"].shape[1]
-    # normalize backward per row: (g - y (y.g)) / ||raw||
-    dots = np.sum(out * upstream, axis=1, keepdims=True)
-    g_raw = (upstream - out * dots) / norms[:, None]
-    g_pooled = params.scale * g_raw
-    gh = np.repeat(g_pooled[:, None, :], k, axis=1) / k
+    k = cache["block_inputs"][0].shape[1]
+    g_raw = l2_normalize_backward(cache["raw"], upstream)
+    gh = mean_over_positions_backward(params.scale * g_raw, k)
     grads: list[np.ndarray] = []
     for i in range(len(params.blocks) - 1, -1, -1):
-        gz = np.where(cache["pre_acts"][i] > 0, gh, 0)
+        gz = relu_backward(cache["pre_acts"][i], gh)
         gh, gw, gb = kernels.conv_backward(cache["block_inputs"][i], params.blocks[i].kernels, gz)
         grads.append(gb)
         grads.append(gw)
     grads.reverse()
-    gx = gh + np.repeat(g_raw[:, None, :], k, axis=1) / k
+    gx = gh + mean_over_positions_backward(g_raw, k)
     return grads, gx
 
 
@@ -248,36 +236,23 @@ def convrr_backward(
 
 def fcrr_forward_many(xs: np.ndarray, params: FCRRParams) -> tuple[np.ndarray, dict]:
     """Dense variant: relu(W v + b) scaled and added back to the mean row v."""
-    if xs.ndim != 3:
-        raise ShapeError(f"expected B x k x d batch, got {xs.shape}")
-    if xs.shape[2] != params.dim:
-        raise ShapeError(f"input dim {xs.shape[2]} != encoder dim {params.dim}")
-    if xs.shape[1] < 1:
-        raise ShapeError("texts must have at least one position")
-    v = xs.mean(axis=1)                      # (B, d)
+    _check_batch(xs, params.dim)
+    v = mean_over_positions(xs)              # (B, d)
     z = v @ params.weight.T + params.bias    # (B, d)
-    h = np.maximum(z, 0)
-    raw = params.scale * h + v
-    out, norms = _normalize_rows(raw)
-    cache = {"k": xs.shape[1], "v": v, "z": z, "raw": raw, "norms": norms, "out": out}
-    return out, cache
+    raw = params.scale * relu(z) + v
+    cache = {"k": xs.shape[1], "v": v, "z": z, "raw": raw}
+    return l2_normalize(raw), cache
 
 
 def fcrr_backward_many(
     params: FCRRParams, cache: dict, upstream: np.ndarray
 ) -> tuple[list[np.ndarray], np.ndarray]:
-    out, norms = cache["out"], cache["norms"]
-    if upstream.shape != out.shape:
-        raise ShapeError(f"upstream {upstream.shape} != output {out.shape}")
-    dots = np.sum(out * upstream, axis=1, keepdims=True)
-    g_raw = (upstream - out * dots) / norms[:, None]
-    gz = np.where(cache["z"] > 0, params.scale * g_raw, 0)
+    g_raw = l2_normalize_backward(cache["raw"], upstream)
+    gz = relu_backward(cache["z"], params.scale * g_raw)
     gw = gz.T @ cache["v"]
     gb = gz.sum(axis=0)
     gv = gz @ params.weight + g_raw
-    k = cache["k"]
-    gx = np.repeat(gv[:, None, :], k, axis=1) / k
-    return [gw, gb], gx
+    return [gw, gb], mean_over_positions_backward(gv, cache["k"])
 
 
 def fcrr_forward(x: np.ndarray, params: FCRRParams) -> np.ndarray:
@@ -314,31 +289,63 @@ def backward_many(params, cache: dict, upstream: np.ndarray):
 
 def mean_embedding_encode(x: np.ndarray) -> np.ndarray:
     """Baseline encoder: unit-normalized mean of the text rows."""
-    raw = x.mean(axis=0)
-    out, _ = _normalize_rows(raw[None])
-    return out[0]
+    return l2_normalize(mean_over_positions(x))
+
+
+def _forward_by_length(matrices: list[np.ndarray], params):
+    """Yield (input positions, outputs, cache) per group of equal-length texts.
+
+    Each group runs through one batched forward, shortest texts first.
+    """
+    by_len: dict[int, list[int]] = {}
+    for i, m in enumerate(matrices):
+        by_len.setdefault(m.shape[0], []).append(i)
+    for k in sorted(by_len):
+        idxs = by_len[k]
+        out, cache = forward_many(np.stack([matrices[i] for i in idxs]), params)
+        yield idxs, out, cache
+
+
+def grouped_forward(
+    matrices: list[np.ndarray], params
+) -> tuple[np.ndarray, list[tuple[list[int], dict]]]:
+    """Encode texts of possibly different lengths and keep what the backward needs.
+
+    Returns the outputs, rows in input order, and per length group its
+    input positions and forward cache, which ``grouped_backward`` consumes.
+    """
+    outputs = np.zeros((0, params.dim), dtype=np.float32)
+    groups = []
+    for idxs, out, cache in _forward_by_length(matrices, params):
+        if not groups:
+            outputs = np.empty((len(matrices), params.dim), dtype=out.dtype)
+        outputs[idxs] = out
+        groups.append((idxs, cache))
+    return outputs, groups
+
+
+def grouped_backward(
+    params, groups: list[tuple[list[int], dict]], upstream: np.ndarray
+) -> list[np.ndarray]:
+    """Parameter gradients of ``grouped_forward``, summed over its length groups."""
+    total: list[np.ndarray] = []
+    for idxs, cache in groups:
+        grads, _ = backward_many(params, cache, upstream[idxs])
+        total = [t + g for t, g in zip(total, grads)] if total else grads
+    return total
 
 
 def encode_texts(matrices: list[np.ndarray], params) -> np.ndarray:
     """Encode texts of possibly different lengths; rows follow input order.
 
-    Texts are grouped by length so each group runs through one batched
-    forward; results are scattered back to the original positions.
+    The outputs equal ``grouped_forward``'s, but each group's cache is
+    dropped as soon as the group is done, so memory stays at one group's.
     """
-    if not matrices:
-        return np.zeros((0, params.dim), dtype=np.float32)
-    groups: dict[int, list[int]] = {}
-    for i, m in enumerate(matrices):
-        groups.setdefault(m.shape[0], []).append(i)
-    outputs = None
-    for k in sorted(groups):
-        idxs = groups[k]
-        xs = np.stack([matrices[i] for i in idxs])
-        out, _ = forward_many(xs, params)
-        if outputs is None:
+    outputs = np.zeros((0, params.dim), dtype=np.float32)
+    for n, (idxs, out, _) in enumerate(_forward_by_length(matrices, params)):
+        if n == 0:
             outputs = np.empty((len(matrices), params.dim), dtype=out.dtype)
-        for row, i in enumerate(idxs):
-            outputs[i] = out[row]
+        outputs[idxs] = out
     return outputs
 
 

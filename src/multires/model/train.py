@@ -51,40 +51,6 @@ class TrainResult:
     active_fractions: list[float] = field(default_factory=list)
 
 
-class _GroupedBatch:
-    """Texts grouped by length so each group is one batched forward/backward."""
-
-    def __init__(self, matrices: list[np.ndarray], params):
-        self.groups: list[tuple[np.ndarray, list[int]]] = []
-        by_k: dict[int, list[int]] = {}
-        for i, m in enumerate(matrices):
-            by_k.setdefault(m.shape[0], []).append(i)
-        self.n = len(matrices)
-        self.dim = params.dim
-        self._caches = []
-        self.outputs = np.empty((self.n, self.dim), dtype=np.float32)
-        for k in sorted(by_k):
-            idxs = by_k[k]
-            xs = np.stack([matrices[i] for i in idxs])
-            out, cache = enc.forward_many(xs, params)
-            for row, i in enumerate(idxs):
-                self.outputs[i] = out[row]
-            self.groups.append((xs, idxs))
-            self._caches.append(cache)
-
-    def backward(self, params, upstream: np.ndarray) -> list[np.ndarray]:
-        total: list[np.ndarray] | None = None
-        for (xs, idxs), cache in zip(self.groups, self._caches):
-            g = np.stack([upstream[i] for i in idxs])
-            grads, _ = enc.backward_many(params, cache, g)
-            if total is None:
-                total = grads
-            else:
-                total = [t + extra for t, extra in zip(total, grads)]
-        assert total is not None
-        return total
-
-
 def train(
     pairs: Sequence[QaPair],
     query_matrices: Mapping[str, np.ndarray],
@@ -146,10 +112,8 @@ def train(
         else:
             batch_doc_ids = list(dict.fromkeys(p.positive_doc_id for p in batch))
 
-        query_group = _GroupedBatch([queries[p.query_id] for p in batch], params)
-        doc_group = _GroupedBatch([docs[d] for d in batch_doc_ids], params)
-        anchors = query_group.outputs
-        doc_outs = doc_group.outputs
+        anchors, query_groups = enc.grouped_forward([queries[p.query_id] for p in batch], params)
+        doc_outs, doc_groups = enc.grouped_forward([docs[d] for d in batch_doc_ids], params)
         doc_pos = {did: i for i, did in enumerate(batch_doc_ids)}
 
         gold = {i: p.positive_doc_id for i, p in enumerate(batch)}
@@ -184,8 +148,8 @@ def train(
         result.loss_trace.append(float(np.mean(losses)))
         result.active_fractions.append(active / len(batch))
 
-        grads = query_group.backward(params, g_anchor)
-        doc_grads = doc_group.backward(params, g_doc)
+        grads = enc.grouped_backward(params, query_groups, g_anchor)
+        doc_grads = enc.grouped_backward(params, doc_groups, g_doc)
         grads = [g + dg for g, dg in zip(grads, doc_grads)]
 
         new_tensors = []

@@ -1,6 +1,6 @@
 from multires.numerics.adam import AdamConfig, AdamState, adam_step
 from multires.numerics.gradcheck import finite_diff_check
-from multires.numerics.kernels import NUMBA_ENABLED, active_backend
+from multires.numerics.kernels import active_backend
 from multires.numerics.ops import (
     NORM_FLOOR,
     as_tensor,
@@ -19,7 +19,6 @@ __all__ = [
     "AdamState",
     "adam_step",
     "finite_diff_check",
-    "NUMBA_ENABLED",
     "active_backend",
     "NORM_FLOOR",
     "as_tensor",

@@ -1,10 +1,10 @@
-"""Hot convolution kernels: numba-jitted loops with a pure-numpy fallback.
+"""Hot convolution kernels: vectorized numpy over a sliding window view.
 
-The backend is picked once at import time. Numba is used when importable
-unless the environment variable MULTIRES_NUMBA is set to 0/false/off, in
-which case the vectorized numpy path runs instead. Both paths implement
-the same contract: "same" zero-padded 1-D convolution over the position
-axis, batched over a leading text dimension.
+Both kernels implement "same" zero-padded 1-D convolution over the
+position axis, batched over a leading text dimension. The sums run
+through ``np.tensordot`` (a BLAS gemm), whose summation order follows the
+BLAS thread count, so results are bitwise reproducible at a fixed thread
+count.
 
 Shapes (everything row-major, any float dtype):
     x    (B, k, d_in)    batch of texts, k positions, d_in features
@@ -15,88 +15,15 @@ Shapes (everything row-major, any float dtype):
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 
-def _numba_requested() -> bool:
-    return os.environ.get("MULTIRES_NUMBA", "1").strip().lower() not in ("0", "false", "off")
-
-
-NUMBA_ENABLED = False
-if _numba_requested():
-    try:
-        from numba import njit
-
-        NUMBA_ENABLED = True
-    except ImportError:
-        NUMBA_ENABLED = False
-
-
 def active_backend() -> str:
-    """Name of the kernel backend selected at import time."""
-    return "numba" if NUMBA_ENABLED else "numpy"
+    """Name of the conv kernel backend."""
+    return "numpy"
 
 
-# --- loop kernels (compiled under numba; never run in plain python) ---
-
-
-def _conv_forward_loops(x, w, b, out):
-    batch, k, d = x.shape
-    n_k, ws, _ = w.shape
-    pad = (ws - 1) // 2
-    for bi in range(batch):
-        for t in range(k):
-            for c in range(n_k):
-                acc = b[c]
-                for s in range(ws):
-                    r = t + s - pad
-                    if 0 <= r < k:
-                        for f in range(d):
-                            acc += x[bi, r, f] * w[c, s, f]
-                out[bi, t, c] = acc
-
-
-def _conv_backward_loops(x, w, g, gx, gw, gb):
-    batch, k, d = x.shape
-    n_k, ws, _ = w.shape
-    pad = (ws - 1) // 2
-    # separate accumulation passes: each inner loop is a single contiguous
-    # axpy, which vectorizes where a fused dual-write loop does not
-    for bi in range(batch):
-        for t in range(k):
-            for c in range(n_k):
-                u = g[bi, t, c]
-                gb[c] += u
-                for s in range(ws):
-                    r = t + s - pad
-                    if 0 <= r < k:
-                        for f in range(d):
-                            gw[c, s, f] += u * x[bi, r, f]
-    for bi in range(batch):
-        for t in range(k):
-            for c in range(n_k):
-                u = g[bi, t, c]
-                for s in range(ws):
-                    r = t + s - pad
-                    if 0 <= r < k:
-                        for f in range(d):
-                            gx[bi, r, f] += u * w[c, s, f]
-
-
-if NUMBA_ENABLED:
-    # fastmath lets LLVM vectorize the accumulator reductions; results stay
-    # run-to-run deterministic for a fixed build, they just round differently
-    # from the numpy path (which also accumulates in its own order).
-    _conv_forward_jit = njit(cache=True, fastmath=True)(_conv_forward_loops)
-    _conv_backward_jit = njit(cache=True, fastmath=True)(_conv_backward_loops)
-
-
-# --- vectorized numpy fallback ---
-
-
-def conv_forward_numpy(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+def conv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     """x (B,k,d), w (n_k,ws,d), b (n_k,) -> (B,k,n_k)."""
     batch, k, d = x.shape
     _, ws, _ = w.shape
@@ -109,10 +36,10 @@ def conv_forward_numpy(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarra
     return out + b
 
 
-def conv_backward_numpy(
+def conv_backward(
     x: np.ndarray, w: np.ndarray, g: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients of conv_forward_numpy: returns (gx, gw, gb)."""
+    """Gradients of conv_forward: returns (gx, gw, gb)."""
     batch, k, d = x.shape
     n_k, ws, _ = w.shape
     pad = (ws - 1) // 2
@@ -128,42 +55,3 @@ def conv_backward_numpy(
         gxp[:, s:s + k, :] += gwin[:, :, s, :]
     gx = gxp[:, pad:pad + k, :]
     return gx, gw, gb
-
-
-# --- jit wrappers (allocate outputs, hand off to compiled loops) ---
-
-
-def conv_forward_jit(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if not NUMBA_ENABLED:
-        raise RuntimeError("numba backend not active")
-    x = np.ascontiguousarray(x)
-    w = np.ascontiguousarray(w)
-    b = np.ascontiguousarray(b)
-    out = np.empty((x.shape[0], x.shape[1], w.shape[0]), dtype=x.dtype)
-    _conv_forward_jit(x, w, b, out)
-    return out
-
-
-def conv_backward_jit(
-    x: np.ndarray, w: np.ndarray, g: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    if not NUMBA_ENABLED:
-        raise RuntimeError("numba backend not active")
-    x = np.ascontiguousarray(x)
-    w = np.ascontiguousarray(w)
-    g = np.ascontiguousarray(g)
-    gx = np.zeros_like(x)
-    gw = np.zeros_like(w)
-    gb = np.zeros(w.shape[0], dtype=w.dtype)
-    _conv_backward_jit(x, w, g, gx, gw, gb)
-    return gx, gw, gb
-
-
-# --- dispatch ---
-
-if NUMBA_ENABLED:
-    conv_forward = conv_forward_jit
-    conv_backward = conv_backward_jit
-else:
-    conv_forward = conv_forward_numpy
-    conv_backward = conv_backward_numpy

@@ -95,37 +95,42 @@ def relu_backward(x: np.ndarray, upstream: np.ndarray) -> np.ndarray:
 
 
 def mean_over_positions(x: np.ndarray) -> np.ndarray:
-    """Column-wise mean of a (k,d) matrix; k must be >= 1."""
-    if x.ndim != 2:
-        raise ShapeError(f"expected k x d matrix, got shape {x.shape}")
-    if x.shape[0] == 0:
+    """Mean over the position axis (-2) of a (..., k, d) array; k must be >= 1."""
+    if x.ndim < 2:
+        raise ShapeError(f"expected (..., k, d) array, got shape {x.shape}")
+    if x.shape[-2] == 0:
         raise EmptyInputError("mean over zero positions")
-    return x.mean(axis=0)
+    return x.mean(axis=-2)
 
 
 def mean_over_positions_backward(upstream: np.ndarray, k: int) -> np.ndarray:
-    """Distribute upstream/k to every one of the k rows."""
+    """Distribute upstream/k to every one of the k positions: (..., d) -> (..., k, d)."""
     if k < 1:
         raise EmptyInputError("mean over zero positions")
-    return np.broadcast_to(upstream / k, (k, upstream.shape[0])).copy()
+    shape = upstream.shape[:-1] + (k, upstream.shape[-1])
+    return np.broadcast_to(np.expand_dims(upstream / k, -2), shape).copy()
+
+
+def _row_norms(v: np.ndarray, norm_floor: float) -> np.ndarray:
+    """Euclidean norms over the last axis (kept); rejects any at or below the floor."""
+    norm = np.sqrt(np.sum(v * v, axis=-1, keepdims=True))
+    if np.any(norm <= norm_floor):
+        low = float(norm.min())
+        raise DegenerateVectorError(f"vector norm {low:g} at or below floor {norm_floor:g}")
+    return norm
 
 
 def l2_normalize(v: np.ndarray, norm_floor: float = NORM_FLOOR) -> np.ndarray:
-    """v / ||v||; rejects vectors with norm at or below the floor."""
-    norm = float(np.linalg.norm(v))
-    if norm <= norm_floor:
-        raise DegenerateVectorError(f"vector norm {norm:g} at or below floor {norm_floor:g}")
-    return v / norm
+    """v / ||v|| for each vector on the last axis; rejects norms at or below the floor."""
+    return v / _row_norms(v, norm_floor)
 
 
 def l2_normalize_backward(
     v: np.ndarray, upstream: np.ndarray, norm_floor: float = NORM_FLOOR
 ) -> np.ndarray:
-    """Jacobian-transpose product (I - y y^T) g / ||v|| with y = v/||v||."""
+    """Jacobian-transpose product (I - y y^T) g / ||v|| with y = v/||v||, per last-axis vector."""
     if v.shape != upstream.shape:
         raise ShapeError(f"upstream shape {upstream.shape} does not match input {v.shape}")
-    norm = float(np.linalg.norm(v))
-    if norm <= norm_floor:
-        raise DegenerateVectorError(f"vector norm {norm:g} at or below floor {norm_floor:g}")
+    norm = _row_norms(v, norm_floor)
     y = v / norm
-    return (upstream - y * np.dot(y, upstream)) / norm
+    return (upstream - y * np.sum(y * upstream, axis=-1, keepdims=True)) / norm

@@ -26,8 +26,11 @@ from multires.model import (
 from multires.model.encoder import (
     convrr_backward,
     convrr_forward,
+    encode_texts,
     fcrr_backward,
     fcrr_forward,
+    grouped_backward,
+    grouped_forward,
     mean_embedding_encode,
 )
 from multires.numerics import finite_diff_check
@@ -165,6 +168,50 @@ class TestFCRR:
         assert finite_diff_check(f_w, params.weight, grads[0]) < 1e-5
         assert finite_diff_check(f_b, params.bias, grads[1]) < 1e-5
         assert finite_diff_check(f_x, X, gx) < 1e-5
+
+
+def _encoder(kind, dim, rng, dtype):
+    if kind == "convrr":
+        return init_convrr_params(dim, window=3, scale=0.7, rng=rng, dtype=dtype), convrr_forward
+    return init_fcrr_params(dim, scale=0.7, rng=rng, dtype=dtype), fcrr_forward
+
+
+class TestGroupedEncode:
+    LENGTHS = (1, 3, 1, 5, 3)
+
+    @pytest.mark.parametrize("kind", ["convrr", "fcrr"])
+    def test_rows_follow_input_order(self, rng, kind):
+        # not bitwise: BLAS may round a one-text product (gemv) differently
+        # from the same row inside a batch (gemm)
+        params, single = _encoder(kind, 4, rng, np.float64)
+        texts = [rng.normal(size=(k, 4)) for k in self.LENGTHS]
+        out = encode_texts(texts, params)
+        assert out.shape == (len(texts), 4)
+        for row, x in zip(out, texts):
+            assert np.allclose(row, single(x, params), atol=1e-12, rtol=0)
+
+    @pytest.mark.parametrize("kind", ["convrr", "fcrr"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_output_dtype_follows_params(self, rng, kind, dtype):
+        params, _ = _encoder(kind, 4, rng, dtype)
+        texts = [rng.normal(size=(k, 4)).astype(dtype) for k in self.LENGTHS]
+        assert encode_texts(texts, params).dtype == dtype
+
+    def test_no_texts_gives_empty_rows(self, rng):
+        params, _ = _encoder("convrr", 4, rng, np.float32)
+        assert encode_texts([], params).shape == (0, 4)
+
+    def test_grouped_forward_and_backward(self, rng):
+        params, _ = _encoder("convrr", 4, rng, np.float64)
+        texts = [rng.normal(size=(k, 4)) for k in self.LENGTHS]
+        upstream = rng.normal(size=(len(texts), 4))
+        out, groups = grouped_forward(texts, params)
+        assert np.array_equal(out, encode_texts(texts, params))
+        assert [idxs for idxs, _ in groups] == [[0, 2], [1, 4], [3]]
+        grads = grouped_backward(params, groups, upstream)
+        per_text = [convrr_backward(x, params, g)[0] for x, g in zip(texts, upstream)]
+        for got, parts in zip(grads, zip(*per_text)):
+            assert np.allclose(got, sum(parts), atol=1e-12, rtol=0)
 
 
 class TestPairDistance:

@@ -67,6 +67,17 @@ class TestMeanOverPositions:
         assert back.shape == (5, 4)
         assert np.array_equal(back, np.tile(g / 5, (5, 1)))
 
+    def test_batched_equals_stacked_rows(self, rng):
+        x = rng.normal(size=(3, 4, 5))
+        assert np.array_equal(mean_over_positions(x), np.stack([mean_over_positions(r) for r in x]))
+        g = rng.normal(size=(3, 5))
+        back = mean_over_positions_backward(g, 4)
+        assert np.array_equal(back, np.stack([mean_over_positions_backward(r, 4) for r in g]))
+
+    def test_batched_empty_rejected(self):
+        with pytest.raises(EmptyInputError):
+            mean_over_positions(np.zeros((2, 0, 3)))
+
 
 class TestL2Normalize:
     def test_three_four_five(self):
@@ -86,6 +97,21 @@ class TestL2Normalize:
             l2_normalize(np.zeros(4))
         with pytest.raises(DegenerateVectorError):
             l2_normalize_backward(np.zeros(4), np.ones(4))
+
+    def test_batched_equals_stacked_rows(self, rng):
+        v = rng.normal(size=(4, 6))
+        g = rng.normal(size=(4, 6))
+        assert np.array_equal(l2_normalize(v), np.stack([l2_normalize(r) for r in v]))
+        back = l2_normalize_backward(v, g)
+        assert np.array_equal(back, np.stack([l2_normalize_backward(r, u) for r, u in zip(v, g)]))
+
+    def test_one_zero_row_in_batch_rejected(self, rng):
+        v = rng.normal(size=(4, 6))
+        v[2] = 0
+        with pytest.raises(DegenerateVectorError):
+            l2_normalize(v)
+        with pytest.raises(DegenerateVectorError):
+            l2_normalize_backward(v, np.ones_like(v))
 
     def test_gradient(self, rng):
         v = rng.normal(size=6) + 0.5
