@@ -12,11 +12,9 @@ import os
 import sys
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from multires import corpus as corpus_mod
-from multires.embedding.compose import compose_text, composed_dim
-from multires.embedding.specs import EnsembleSpec, parse_spec_file
+from multires.embedding.compose import compose_text
+from multires.embedding.specs import parse_spec_file
 from multires.embedding.stores import (
     ContextFreeStore,
     ContextualStore,
@@ -30,14 +28,19 @@ from multires.model.encoder import encode_texts
 from multires.model.loss import LossConfig
 from multires.model.train import TrainConfig, train
 from multires.numerics.adam import AdamConfig
-from multires.retrieval import RetrievalIndex, build_index, evaluate, search
+from multires.retrieval import build_index, evaluate, search
 
 _MINING_FLAGS = {"batch-hard": "batch_hard", "full-scan": "full_scan", "semi-hard": "semi_hard"}
 
 
 @dataclass
 class RunConfig:
-    """Validated view of a key=value run-config file."""
+    """Validated view of a key=value run-config file.
+
+    ``train``, ``adam`` and ``loss`` hold keyword arguments for TrainConfig,
+    AdamConfig and LossConfig; a key the file leaves out keeps that class's
+    default.
+    """
 
     corpus: str | None = None
     qa_pairs: str | None = None
@@ -49,22 +52,67 @@ class RunConfig:
     loss_trace: str | None = None
     index: str | None = None
     encoder: str = "convrr"
-    seed: int = 0
-    iterations: int = 400
-    batch_size: int = 2000
-    margin: float = 1.0
-    window: int = 5
-    scale: float = 0.05
-    learning_rate: float = 1e-3
-    weight_decay: float = 1e-3
-    depth: int = 2
-    mining: str = "batch_hard"
     ks: list[int] = field(default_factory=lambda: [1, 3, 5])
+    train: dict[str, object] = field(default_factory=dict)
+    adam: dict[str, object] = field(default_factory=dict)
+    loss: dict[str, object] = field(default_factory=dict)
 
 
-_INT_KEYS = {"seed", "iterations", "depth"}
-_PATH_KEYS = {"corpus", "qa_pairs", "spec", "idf", "checkpoint", "report", "loss_trace", "index"}
-_FLOAT_ALIASES = {"sf": "scale", "lr": "learning_rate", "margin": "margin", "weight_decay": "weight_decay"}
+def _parse_stores(value: str) -> dict[str, str]:
+    stores = {}
+    for item in value.split(","):
+        model, _, store_path = item.partition(":")
+        if not model or not store_path:
+            raise ValueError(item)
+        stores[model.strip()] = store_path.strip()
+    return stores
+
+
+def _parse_ks(value: str) -> list[int]:
+    return sorted({int(part) for part in value.split(",")})
+
+
+# Run-config key -> (parser, destination). A destination is a RunConfig
+# field, or "train.", "adam." or "loss." and a keyword of the config class.
+_KEYS = {
+    **{
+        key: (str, key)
+        for key in (
+            "corpus", "qa_pairs", "spec", "idf", "checkpoint", "report", "loss_trace",
+            "index", "encoder",
+        )
+    },
+    "stores": (_parse_stores, "stores"),
+    "k": (_parse_ks, "ks"),
+    "seed": (int, "train.seed"),
+    "iterations": (int, "train.iterations"),
+    "batch_size": (int, "train.batch_size"),
+    "depth": (int, "train.depth"),
+    "ws": (int, "train.window"),
+    "sf": (float, "train.scale"),
+    "mining": (lambda value: _MINING_FLAGS.get(value, value), "train.mining"),
+    "lr": (float, "adam.learning_rate"),
+    "weight_decay": (float, "adam.weight_decay"),
+    "margin": (float, "loss.margin"),
+}
+
+# train flag -> the run-config key it overrides
+_TRAIN_FLAGS = {
+    "seed": "seed", "margin": "margin", "ws": "ws", "sf": "sf", "lr": "lr",
+    "batch": "batch_size", "iters": "iterations", "depth": "depth", "mining": "mining",
+}
+
+
+def _set_key(cfg: RunConfig, key: str, value) -> None:
+    parse, dest = _KEYS[key]
+    value = parse(value)
+    name, _, keyword = dest.partition(".")
+    if keyword:
+        getattr(cfg, name)[keyword] = value
+    elif name == "stores":  # repeated stores= lines merge
+        cfg.stores.update(value)
+    else:
+        setattr(cfg, name, value)
 
 
 def parse_run_config(path: str) -> RunConfig:
@@ -78,37 +126,10 @@ def parse_run_config(path: str) -> RunConfig:
                 raise ParseError(f"expected key=value, got {line!r}", line=lineno)
             key, value = (part.strip() for part in line.split("=", 1))
             try:
-                _apply_config_key(cfg, key, value)
-            except ValueError:
+                _set_key(cfg, key, value)
+            except (KeyError, ValueError):
                 raise ParseError(f"bad value {value!r} for key {key!r}", line=lineno) from None
     return cfg
-
-
-def _apply_config_key(cfg: RunConfig, key: str, value: str) -> None:
-    if key in _PATH_KEYS:
-        setattr(cfg, key, value)
-    elif key == "stores":
-        for item in value.split(","):
-            model, _, store_path = item.partition(":")
-            if not model or not store_path:
-                raise ValueError(item)
-            cfg.stores[model.strip()] = store_path.strip()
-    elif key in _INT_KEYS:
-        setattr(cfg, key, int(value))
-    elif key == "batch_size":
-        cfg.batch_size = int(value)
-    elif key == "ws":
-        cfg.window = int(value)
-    elif key in _FLOAT_ALIASES:
-        setattr(cfg, _FLOAT_ALIASES[key], float(value))
-    elif key == "mining":
-        cfg.mining = _MINING_FLAGS.get(value, value)
-    elif key == "encoder":
-        cfg.encoder = value
-    elif key == "k":
-        cfg.ks = sorted({int(part) for part in value.split(",")})
-    else:
-        raise ValueError(key)
 
 
 def _require_paths(cfg: RunConfig, names: list[str]) -> None:
@@ -121,41 +142,19 @@ def _require_paths(cfg: RunConfig, names: list[str]) -> None:
     for model, store_path in cfg.stores.items():
         if not os.path.exists(store_path):
             raise ParseError(f"store path for model {model!r} does not exist: {store_path}")
-
-
-def _load_stores(cfg: RunConfig) -> dict[str, ContextFreeStore]:
     if not cfg.stores:
         raise ParseError("run config defines no embedding stores")
-    return {
-        model: read_context_free_store(path, model) for model, path in cfg.stores.items()
-    }
 
 
-def _load_idf(cfg: RunConfig, docs) -> corpus_mod.IdfTable:
-    if cfg.idf:
-        return corpus_mod.load_idf(cfg.idf)
-    return corpus_mod.build_idf(docs)
+def _load_composer(store_paths: dict[str, str], spec_path: str, idf_path: str | None, docs):
+    """Read the stores, the spec and the IDF once; return text -> (k, d'') matrix.
 
-
-def _compose_all(texts: list[tuple[str, str]], stores, spec: EnsembleSpec, idf):
-    return {
-        text_id: compose_text(corpus_mod.tokenize(text), stores, spec, idf)
-        for text_id, text in texts
-    }
-
-
-def _train_config(cfg: RunConfig, seed_override: int | None) -> TrainConfig:
-    return TrainConfig(
-        iterations=cfg.iterations,
-        batch_size=cfg.batch_size,
-        seed=cfg.seed if seed_override is None else seed_override,
-        adam=AdamConfig(learning_rate=cfg.learning_rate, weight_decay=cfg.weight_decay),
-        mining=cfg.mining,
-        loss=LossConfig(margin=cfg.margin),
-        depth=cfg.depth,
-        window=cfg.window,
-        scale=cfg.scale,
-    )
+    The IDF is read from ``idf_path`` when it is set, else built from ``docs``.
+    """
+    stores = {model: read_context_free_store(path, model) for model, path in store_paths.items()}
+    spec = parse_spec_file(spec_path)
+    idf = corpus_mod.load_idf(idf_path) if idf_path else corpus_mod.build_idf(docs)
+    return lambda text: compose_text(corpus_mod.tokenize(text), stores, spec, idf)
 
 
 # --- commands ---
@@ -170,61 +169,41 @@ def cmd_build_idf(args) -> int:
 
 
 def cmd_compose(args) -> int:
-    spec = parse_spec_file(args.spec)
-    stores = {}
+    store_paths = {}
     for item in args.store:
         model, _, path = item.partition("=")
         if not model or not path:
             raise ParseError(f"--store expects model=path, got {item!r}")
-        stores[model] = read_context_free_store(path, model)
+        store_paths[model] = path
     texts = corpus_mod.load_corpus(args.texts)
-    if args.idf:
-        idf = corpus_mod.load_idf(args.idf)
-    else:
-        idf = corpus_mod.build_idf(texts)
+    compose = _load_composer(store_paths, args.spec, args.idf, texts)
     os.makedirs(args.out_dir, exist_ok=True)
-    dim = composed_dim(
-        spec, {m: (s.num_layers, s.dim) for m, s in stores.items()}
-    )
+    dim = 0
     for line_index, doc in enumerate(texts):
-        matrix = compose_text(corpus_mod.tokenize(doc.text), stores, spec, idf)
-        out = ContextualStore(
-            model_id="composed",
-            text_id=line_index,
-            layers=matrix.astype(np.float32)[:, None, :],
-        )
+        matrix = compose(doc.text)
+        dim = matrix.shape[1]
+        out = ContextualStore(model_id="composed", text_id=line_index, layers=matrix[:, None, :])
         write_contextual_store(os.path.join(args.out_dir, f"{doc.id}.mrt"), out)
     print(f"composed {len(texts)} texts at d''={dim} -> {args.out_dir}")
     return 0
 
 
-def _composed_pipeline(cfg: RunConfig):
-    docs = corpus_mod.load_corpus(cfg.corpus)
-    pairs = corpus_mod.load_qa_pairs(cfg.qa_pairs, docs)
-    stores = _load_stores(cfg)
-    spec = parse_spec_file(cfg.spec)
-    idf = _load_idf(cfg, docs)
-    doc_matrices = _compose_all([(d.id, d.text) for d in docs], stores, spec, idf)
-    query_matrices = _compose_all(
-        [(p.query_id, p.query_text) for p in pairs], stores, spec, idf
-    )
-    return docs, pairs, stores, spec, idf, doc_matrices, query_matrices
-
-
 def cmd_train(args) -> int:
     cfg = parse_run_config(args.config)
-    _apply_flag_overrides(cfg, args)
+    for flag, key in _TRAIN_FLAGS.items():
+        if getattr(args, flag) is not None:
+            _set_key(cfg, key, getattr(args, flag))
     _require_paths(cfg, ["corpus", "qa_pairs", "spec"])
     if cfg.checkpoint is None:
         raise ParseError("run config is missing required key 'checkpoint'")
-    _, pairs, _, _, _, doc_matrices, query_matrices = _composed_pipeline(cfg)
-    result = train(
-        pairs,
-        query_matrices,
-        doc_matrices,
-        encoder_kind=cfg.encoder,
-        cfg=_train_config(cfg, args.seed),
-    )
+    docs = corpus_mod.load_corpus(cfg.corpus)
+    pairs = corpus_mod.load_qa_pairs(cfg.qa_pairs, docs)
+    compose = _load_composer(cfg.stores, cfg.spec, cfg.idf, docs)
+    doc_matrices = {d.id: compose(d.text) for d in docs}
+    query_matrices = {p.query_id: compose(p.query_text) for p in pairs}
+    del compose  # frees the stores before training
+    train_cfg = TrainConfig(**cfg.train, adam=AdamConfig(**cfg.adam), loss=LossConfig(**cfg.loss))
+    result = train(pairs, query_matrices, doc_matrices, encoder_kind=cfg.encoder, cfg=train_cfg)
     write_checkpoint(cfg.checkpoint, result.params, result.kind)
     if cfg.loss_trace:
         with open(cfg.loss_trace, "w", encoding="utf-8", newline="\n") as fh:
@@ -233,7 +212,7 @@ def cmd_train(args) -> int:
                 zip(result.loss_trace, result.active_fractions), start=1
             ):
                 fh.write(f"{i},{loss!r},{frac!r}\n")
-    print(f"trained {cfg.encoder} for {cfg.iterations} iterations -> {cfg.checkpoint}")
+    print(f"trained {cfg.encoder} for {train_cfg.iterations} iterations -> {cfg.checkpoint}")
     return 0
 
 
@@ -244,15 +223,9 @@ def cmd_index(args) -> int:
     if out_path is None:
         raise ParseError("no index output path (--out or 'index' config key)")
     docs = corpus_mod.load_corpus(cfg.corpus)
-    stores = _load_stores(cfg)
-    spec = parse_spec_file(cfg.spec)
-    idf = _load_idf(cfg, docs)
+    compose = _load_composer(cfg.stores, cfg.spec, cfg.idf, docs)
     params, _ = read_checkpoint(cfg.checkpoint)
-    matrices = [
-        compose_text(corpus_mod.tokenize(d.text), stores, spec, idf).astype(np.float32)
-        for d in docs
-    ]
-    encoded = encode_texts(matrices, params)
+    encoded = encode_texts([compose(d.text) for d in docs], params)
     store = ContextFreeStore(
         model_id="index",
         num_layers=1,
@@ -264,26 +237,17 @@ def cmd_index(args) -> int:
     return 0
 
 
-def _read_index(path: str) -> RetrievalIndex:
-    store = read_context_free_store(path, "index")
-    return build_index([(doc_id, vec[0]) for doc_id, vec in store.vectors.items()])
-
-
 def cmd_search(args) -> int:
     cfg = parse_run_config(args.config)
     _require_paths(cfg, ["spec", "checkpoint", "index"])
-    stores = _load_stores(cfg)
-    spec = parse_spec_file(cfg.spec)
-    if cfg.idf:
-        idf = corpus_mod.load_idf(cfg.idf)
-    elif cfg.corpus and os.path.exists(cfg.corpus):
-        idf = corpus_mod.build_idf(corpus_mod.load_corpus(cfg.corpus))
-    else:
+    if not cfg.idf and not (cfg.corpus and os.path.exists(cfg.corpus)):
         raise ParseError("search needs an 'idf' or 'corpus' key to weight tokens")
+    docs = [] if cfg.idf else corpus_mod.load_corpus(cfg.corpus)
+    compose = _load_composer(cfg.stores, cfg.spec, cfg.idf, docs)
     params, _ = read_checkpoint(cfg.checkpoint)
-    index = _read_index(cfg.index)
-    matrix = compose_text(corpus_mod.tokenize(args.query), stores, spec, idf)
-    vec = encode_texts([matrix.astype(np.float32)], params)[0]
+    stored = read_context_free_store(cfg.index, "index")
+    index = build_index([(doc_id, vec[0]) for doc_id, vec in stored.vectors.items()])
+    vec = encode_texts([compose(args.query)], params)[0]
     for doc_id, dist in search(index, vec, args.k):
         print(f"{doc_id}\t{dist!r}")
     return 0
@@ -292,44 +256,24 @@ def cmd_search(args) -> int:
 def cmd_eval(args) -> int:
     cfg = parse_run_config(args.config)
     if args.k:
-        cfg.ks = sorted({int(part) for part in args.k.split(",")})
+        _set_key(cfg, "k", args.k)
     _require_paths(cfg, ["corpus", "qa_pairs", "spec", "checkpoint"])
     if cfg.report is None:
         raise ParseError("run config is missing required key 'report'")
-    docs, pairs, _, _, _, doc_matrices, query_matrices = _composed_pipeline(cfg)
+    docs = corpus_mod.load_corpus(cfg.corpus)
+    pairs = corpus_mod.load_qa_pairs(cfg.qa_pairs, docs)
+    compose = _load_composer(cfg.stores, cfg.spec, cfg.idf, docs)
+    doc_matrices = [(d.id, compose(d.text)) for d in docs]
+    query_matrices = [(p.query_id, compose(p.query_text)) for p in pairs]
+    del compose  # frees the stores before encoding
     params, _ = read_checkpoint(cfg.checkpoint)
     gold = {p.query_id: p.positive_doc_id for p in pairs}
-    report = evaluate(
-        params,
-        [(p.query_id, query_matrices[p.query_id]) for p in pairs],
-        [(d.id, doc_matrices[d.id]) for d in docs],
-        cfg.ks,
-        gold,
-    )
+    report = evaluate(params, query_matrices, doc_matrices, cfg.ks, gold)
     with open(cfg.report, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(report.to_json())
         fh.write("\n")
     print(f"evaluated {report.num_queries} queries -> {cfg.report}")
     return 0
-
-
-def _apply_flag_overrides(cfg: RunConfig, args) -> None:
-    if args.margin is not None:
-        cfg.margin = args.margin
-    if args.ws is not None:
-        cfg.window = args.ws
-    if args.sf is not None:
-        cfg.scale = args.sf
-    if args.lr is not None:
-        cfg.learning_rate = args.lr
-    if args.batch is not None:
-        cfg.batch_size = args.batch
-    if args.iters is not None:
-        cfg.iterations = args.iters
-    if args.depth is not None:
-        cfg.depth = args.depth
-    if args.mining is not None:
-        cfg.mining = _MINING_FLAGS[args.mining]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -354,15 +298,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train the retrieval encoder")
     p.add_argument("--config", required=True)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--margin", type=float)
-    p.add_argument("--ws", type=int)
-    p.add_argument("--sf", type=float)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--batch", type=int)
-    p.add_argument("--iters", type=int)
-    p.add_argument("--depth", type=int)
-    p.add_argument("--mining", choices=sorted(_MINING_FLAGS))
+    for flag, key in _TRAIN_FLAGS.items():
+        if key == "mining":
+            p.add_argument("--mining", choices=sorted(_MINING_FLAGS))
+        else:
+            p.add_argument(f"--{flag}", type=_KEYS[key][0])
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("index", help="encode corpus documents into an index file")

@@ -8,7 +8,8 @@ Contextual store (one file per text per model):
     magic "MRT1" | u16 version=1 | u32 text_id | u32 k | u16 l | u32 d
     then k*l*d float32, token-major then layer-major
 
-Both readers reject bad magic, unsupported versions, and truncation.
+Both readers reject bad magic, unsupported versions, and truncation. Both
+writers replace the file atomically, so a failed write leaves the old one.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from multires.errors import FormatError
+from multires.fileio import atomic_write
 
 MRE_MAGIC = b"MRE1"
 MRT_MAGIC = b"MRT1"
@@ -73,7 +75,7 @@ def _read_exact(fh, count: int, what: str) -> bytes:
 
 
 def write_context_free_store(path: str, store: ContextFreeStore) -> None:
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         fh.write(MRE_MAGIC)
         fh.write(struct.pack("<HIHI", _VERSION, len(store.vectors), store.num_layers, store.dim))
         for token, layers in store.vectors.items():
@@ -117,7 +119,7 @@ def write_contextual_store(path: str, store: ContextualStore) -> None:
     if store.layers.ndim != 3:
         raise FormatError(f"contextual layers must be k x l x d, got {store.layers.shape}")
     k, num_layers, dim = store.layers.shape
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         fh.write(MRT_MAGIC)
         fh.write(struct.pack("<HIIHI", _VERSION, store.text_id, k, num_layers, dim))
         fh.write(np.ascontiguousarray(store.layers, dtype="<f4").tobytes())

@@ -10,15 +10,14 @@ Layout:
 
 from __future__ import annotations
 
-import fcntl
 import io
-import os
 import struct
 import zlib
 
 import numpy as np
 
 from multires.errors import FormatError
+from multires.fileio import atomic_write
 from multires.model.encoder import ConvBlock, ConvRRParams, FCRRParams
 
 CRR_MAGIC = b"CRR1"
@@ -74,16 +73,10 @@ def serialize_params(params, kind: str) -> bytes:
 
 
 def write_checkpoint(path: str, params, kind: str) -> None:
-    """Atomic write (temp file + rename) under an advisory lock."""
+    """Atomic write: a failed write leaves any previous checkpoint in place."""
     data = serialize_params(params, kind)
-    tmp = f"{path}.tmp"
-    with open(tmp, "wb") as fh:
-        fcntl.flock(fh.fileno(), fcntl.LOCK_EX)
+    with atomic_write(path) as fh:
         fh.write(data)
-        fh.flush()
-        os.fsync(fh.fileno())
-        fcntl.flock(fh.fileno(), fcntl.LOCK_UN)
-    os.replace(tmp, path)
 
 
 def read_checkpoint(path: str):

@@ -125,10 +125,10 @@ def evaluate(
 
     max_k = max(ks)
     rankings: dict[str, list[str]] = {}
+    pos = {d: i for i, d in enumerate(index.ids)}
     for (qid, _), vec in zip(queries, query_vecs):
         if candidates is not None and qid in candidates:
             wanted = list(candidates[qid])
-            pos = {d: i for i, d in enumerate(index.ids)}
             missing = [d for d in wanted if d not in pos]
             if missing:
                 raise IntegrityError(f"candidate {missing[0]!r} for query {qid!r} not indexed")

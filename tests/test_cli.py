@@ -4,9 +4,10 @@ import json
 import math
 
 import numpy as np
+import pytest
 
 from multires import corpus as corpus_mod
-from multires.cli import main
+from multires.cli import main, parse_run_config
 from multires.embedding import parse_spec_file, read_context_free_store, read_contextual_store
 from multires.embedding.compose import compose_text, composed_dim
 from multires.embedding.stores import ContextFreeStore, write_context_free_store
@@ -184,6 +185,51 @@ class TestTrainEval:
         assert blob_a != blob_b
 
 
+class TestRunConfigKeys:
+    @pytest.mark.parametrize(
+        "flag, value, line",
+        [
+            ("--iters", "2", "iterations=2"),
+            ("--batch", "3", "batch_size=3"),
+            ("--lr", "0.05", "lr=0.05"),
+            ("--ws", "5", "ws=5"),
+            ("--sf", "0.2", "sf=0.2"),
+            ("--depth", "2", "depth=2"),
+            ("--margin", "0.3", "margin=0.3"),
+            ("--mining", "semi-hard", "mining=semi_hard"),
+            ("--mining", "semi-hard", "mining=semi-hard"),
+            ("--seed", "11", "seed=11"),
+        ],
+    )
+    def test_train_flag_equals_config_line(self, cli_workspace, flag, value, line):
+        ws = cli_workspace
+
+        def trained(config, *flags):
+            assert main(["train", "--config", str(config), *flags]) == 0
+            return ws["checkpoint"].read_bytes(), ws["loss_trace"].read_bytes()
+
+        # full_scan, so that switching to semi_hard changes this fixture's output
+        base = ws["dir"] / "base.cfg"
+        base.write_text(ws["config"].read_text() + "mining=full_scan\n")
+        with_line = ws["dir"] / "with-line.cfg"
+        with_line.write_text(base.read_text() + line + "\n")  # the later line wins
+        by_flag = trained(base, flag, value)
+        assert by_flag == trained(with_line)
+        assert by_flag != trained(base)
+
+    def test_repeated_stores_lines_merge(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("stores=a:/s/a.mre\nstores=b:/s/b.mre,c:/s/c.mre\n")
+        stores = parse_run_config(str(path)).stores
+        assert stores == {"a": "/s/a.mre", "b": "/s/b.mre", "c": "/s/c.mre"}
+
+    def test_eval_k_flag_overrides_config(self, cli_workspace):
+        ws = cli_workspace
+        assert main(["train", "--config", str(ws["config"])]) == 0
+        assert main(["eval", "--config", str(ws["config"]), "--k", "1"]) == 0
+        assert set(json.loads(ws["report"].read_text())["recall"]) == {"1"}
+
+
 class TestIndexSearch:
     def test_index_then_search(self, cli_workspace, capsys):
         ws = cli_workspace
@@ -211,3 +257,22 @@ class TestIndexSearch:
         first = capsys.readouterr().out
         assert main(["search", "--config", str(ws["config"]), "item1"]) == 0
         assert capsys.readouterr().out == first
+
+    def test_search_takes_idf_file_or_corpus(self, cli_workspace, capsys):
+        ws = cli_workspace
+        assert main(["train", "--config", str(ws["config"])]) == 0
+        assert main(["index", "--config", str(ws["config"])]) == 0
+        idf = ws["dir"] / "idf.tsv"
+        assert main(["build-idf", str(ws["corpus"]), str(idf)]) == 0
+        lines = [l for l in ws["config"].read_text().splitlines() if not l.startswith("corpus=")]
+        idf_only = ws["dir"] / "idf-only.cfg"
+        idf_only.write_text("\n".join(lines + [f"idf={idf}"]) + "\n")
+        neither = ws["dir"] / "neither.cfg"
+        neither.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["search", "--config", str(ws["config"]), "item1 tag1"]) == 0
+        by_corpus = capsys.readouterr().out
+        assert main(["search", "--config", str(idf_only), "item1 tag1"]) == 0
+        assert capsys.readouterr().out == by_corpus
+        assert main(["search", "--config", str(neither), "item1 tag1"]) == 2
+        assert "search needs an 'idf' or 'corpus' key" in capsys.readouterr().err

@@ -42,6 +42,18 @@ class TestContextFree:
         write_context_free_store(str(p2), store)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_failed_rewrite_keeps_the_old_store(self, rng, tmp_path):
+        path = tmp_path / "s.mre"
+        write_context_free_store(str(path), make_store(rng))
+        good = path.read_bytes()
+        bad = make_store(rng)
+        bad.vectors["wrong-shape"] = np.zeros((1, 2), np.float32)  # written after good rows
+        with pytest.raises(FormatError, match="layer shape"):
+            write_context_free_store(str(path), bad)
+        assert path.read_bytes() == good
+        read_context_free_store(str(path), "m")
+        assert [p.name for p in tmp_path.iterdir()] == ["s.mre"]
+
     def test_bad_magic_rejected(self, rng, tmp_path):
         path = tmp_path / "s.mre"
         write_context_free_store(str(path), make_store(rng))
