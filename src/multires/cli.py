@@ -23,6 +23,7 @@ from multires.embedding.stores import (
     write_contextual_store,
 )
 from multires.errors import MultiresError, ParseError
+from multires.fileio import key_value_lines
 from multires.model.checkpoint import read_checkpoint, write_checkpoint
 from multires.model.encoder import encode_texts
 from multires.model.loss import LossConfig
@@ -103,32 +104,26 @@ _TRAIN_FLAGS = {
 }
 
 
-def _set_key(cfg: RunConfig, key: str, value) -> None:
-    parse, dest = _KEYS[key]
-    value = parse(value)
+def _set_key(cfg: RunConfig, key: str, value, line: int | None = None) -> None:
+    try:
+        parse, dest = _KEYS[key]
+        parsed = parse(value)
+    except (KeyError, ValueError):
+        raise ParseError(f"bad value {value!r} for key {key!r}", line=line) from None
     name, _, keyword = dest.partition(".")
     if keyword:
-        getattr(cfg, name)[keyword] = value
+        getattr(cfg, name)[keyword] = parsed
     elif name == "stores":  # repeated stores= lines merge
-        cfg.stores.update(value)
+        cfg.stores.update(parsed)
     else:
-        setattr(cfg, name, value)
+        setattr(cfg, name, parsed)
 
 
 def parse_run_config(path: str) -> RunConfig:
     cfg = RunConfig()
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ParseError(f"expected key=value, got {line!r}", line=lineno)
-            key, value = (part.strip() for part in line.split("=", 1))
-            try:
-                _set_key(cfg, key, value)
-            except (KeyError, ValueError):
-                raise ParseError(f"bad value {value!r} for key {key!r}", line=lineno) from None
+        for lineno, key, value in key_value_lines(fh):
+            _set_key(cfg, key, value, lineno)
     return cfg
 
 

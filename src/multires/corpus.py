@@ -107,20 +107,29 @@ def load_idf(path: str) -> IdfTable:
     return IdfTable(num_documents=n, entries=entries)
 
 
+def _jsonl_objects(fh, fields: tuple[str, ...]):
+    """Yield (line number, object) per nonblank line; each must be a JSON object with ``fields``."""
+    for lineno, line in enumerate(fh, start=1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"invalid JSON: {exc.msg}", line=lineno) from None
+        if not isinstance(obj, dict):
+            raise ParseError(f"expected a JSON object, got {type(obj).__name__}", line=lineno)
+        missing = [k for k in fields if k not in obj]
+        if missing:
+            raise ParseError(f"missing field(s) {missing}", line=lineno)
+        yield lineno, obj
+
+
 def load_corpus(path: str) -> list[Document]:
     """Read corpus JSONL; ids must be nonempty and unique."""
     docs: list[Document] = []
     seen: set[str] = set()
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid JSON: {exc.msg}", line=lineno) from None
-            if not isinstance(obj, dict) or "id" not in obj or "text" not in obj:
-                raise ParseError('expected object with "id" and "text"', line=lineno)
+        for lineno, obj in _jsonl_objects(fh, ("id", "text")):
             doc_id = obj["id"]
             if not isinstance(doc_id, str) or not doc_id:
                 raise ParseError("document id must be a nonempty string", line=lineno)
@@ -136,16 +145,7 @@ def load_qa_pairs(path: str, corpus: list[Document]) -> list[QaPair]:
     doc_ids = {doc.id for doc in corpus}
     pairs: list[QaPair] = []
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid JSON: {exc.msg}", line=lineno) from None
-            missing = [k for k in ("query_id", "query_text", "positive_doc_id") if k not in obj]
-            if not isinstance(obj, dict) or missing:
-                raise ParseError(f"missing field(s) {missing}", line=lineno)
+        for lineno, obj in _jsonl_objects(fh, ("query_id", "query_text", "positive_doc_id")):
             pair = QaPair(
                 query_id=str(obj["query_id"]),
                 query_text=str(obj["query_text"]),

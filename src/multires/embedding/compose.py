@@ -13,35 +13,36 @@ import numpy as np
 
 from multires.corpus import IdfTable, lookup_idf
 from multires.embedding.specs import EnsembleSpec, MixtureSpec
-from multires.errors import EmptyTextError, MissingModelError, NumericalError, SpecError
+from multires.errors import EmptyTextError, MissingModelError, NumericalError, ShapeError, SpecError
 
 
 @dataclass(frozen=True)
 class LayeredTokenEmbedding:
-    """One token's l x d layer matrix from a single embedding model."""
+    """One model's l x d layer matrix for one token, or a (k, l, d) stack for k tokens."""
 
     model_id: str
     layers: np.ndarray
 
     def __post_init__(self):
-        if self.layers.ndim != 2 or self.layers.shape[0] < 1 or self.layers.shape[1] < 1:
-            raise SpecError(f"layers must be l x d with l,d >= 1, got {self.layers.shape}")
+        if self.layers.ndim not in (2, 3) or min(self.layers.shape[-2:]) < 1:
+            raise SpecError(f"layers must be [k x] l x d with l,d >= 1, got {self.layers.shape}")
         if not np.all(np.isfinite(self.layers)):
             raise NumericalError(f"non-finite layer entries for model {self.model_id!r}")
 
     @property
     def num_layers(self) -> int:
-        return self.layers.shape[0]
+        return self.layers.shape[-2]
 
 
 def mix_layers(
-    emb: LayeredTokenEmbedding, spec: MixtureSpec, idf_weight: float = 1.0
+    emb: LayeredTokenEmbedding, spec: MixtureSpec, idf_weight: float | np.ndarray = 1.0
 ) -> np.ndarray:
-    """Weight the layers of one model and aggregate them into a single vector.
+    """Weight the layers of one model and aggregate them into a single vector per token.
 
     sum/average give a d-vector; concatenate joins the nonzero-weight layers
     in layer order. When spec.use_idf is set the aggregated vector is scaled
-    by idf_weight once, after aggregation.
+    by idf_weight once, after aggregation. For a (k, l, d) stack the result
+    is (k, d_m) and idf_weight holds one weight per token, shape (k,).
     """
     if spec.model_id != emb.model_id:
         raise SpecError(f"mixture for {spec.model_id!r} applied to model {emb.model_id!r}")
@@ -49,21 +50,24 @@ def mix_layers(
         raise SpecError(
             f"{len(spec.weights)} weights for model {emb.model_id!r} with {emb.num_layers} layers"
         )
+    idf_weight = np.asarray(idf_weight, dtype=emb.layers.dtype)
+    if idf_weight.shape != emb.layers.shape[:-2]:
+        raise ShapeError(f"idf shape {idf_weight.shape} for layers of shape {emb.layers.shape}")
     weights = np.asarray(spec.weights, dtype=emb.layers.dtype)
     if spec.aggregator == "sum":
-        out = np.einsum("l,ld->d", weights, emb.layers)
+        out = np.einsum("l,...ld->...d", weights, emb.layers)
     elif spec.aggregator == "average":
-        out = np.einsum("l,ld->d", weights, emb.layers) / emb.num_layers
+        out = np.einsum("l,...ld->...d", weights, emb.layers) / emb.num_layers
     else:  # concatenate: zero-weight layers contribute no segment
         segments = []
         for i, w in enumerate(spec.weights):
             if w == 0.0:
                 continue
-            row = emb.layers[i]
+            row = emb.layers[..., i, :]
             segments.append(row * weights[i] if spec.scale_segments else row)
-        out = np.concatenate(segments)
+        out = np.concatenate(segments, axis=-1)
     if spec.use_idf:
-        out = out * emb.layers.dtype.type(idf_weight)
+        out = out * idf_weight[..., None]
     return out
 
 
@@ -72,17 +76,18 @@ def ensemble(parts: Sequence[np.ndarray], spec: EnsembleSpec) -> np.ndarray:
 
     concatenate joins segments in order (d'' = sum of dims); sum/average
     right-zero-pad every part to the longest one first (d'' = max dim).
+    Parts are d_m-vectors or (k, d_m) stacks with the same k.
     """
     if len(parts) != len(spec.mixtures):
         raise SpecError(f"{len(parts)} parts for ensemble of {len(spec.mixtures)} mixtures")
     dtype = np.result_type(*parts)
     scaled = [np.asarray(p, dtype=dtype) * dtype.type(u) for p, u in zip(parts, spec.weights)]
     if spec.aggregator == "concatenate":
-        return np.concatenate(scaled)
-    width = max(p.shape[0] for p in scaled)
-    acc = np.zeros(width, dtype=dtype)
+        return np.concatenate(scaled, axis=-1)
+    width = max(p.shape[-1] for p in scaled)
+    acc = np.zeros(scaled[0].shape[:-1] + (width,), dtype=dtype)
     for p in scaled:
-        acc[: p.shape[0]] += p
+        acc[..., : p.shape[-1]] += p
     if spec.aggregator == "average":
         acc /= len(scaled)
     return acc
@@ -91,9 +96,9 @@ def ensemble(parts: Sequence[np.ndarray], spec: EnsembleSpec) -> np.ndarray:
 def compose_token(
     layer_sets: Mapping[str, LayeredTokenEmbedding],
     spec: EnsembleSpec,
-    idf_weight: float = 1.0,
+    idf_weight: float | np.ndarray = 1.0,
 ) -> np.ndarray:
-    """Mixture per model, then ensemble across models, for one token."""
+    """Mixture per model, then ensemble across models, for one token or a (k, ...) stack."""
     parts = []
     for mixture in spec.mixtures:
         emb = layer_sets.get(mixture.model_id)
@@ -137,28 +142,24 @@ def compose_text(
 ) -> np.ndarray:
     """Compose every token into a row of the (k, d'') text matrix.
 
-    A token missing from one model's store contributes a zero layer matrix
-    for that model only; a text whose tokens resolve in no store at all is
-    rejected.
+    Each model's rows for the text are gathered into one (k, l, d) stack
+    and composed in a single compose_token call. A token missing from one
+    model's store contributes a zero layer matrix for that model only; a
+    text whose tokens resolve in no store at all is rejected.
     """
-    for mixture in spec.mixtures:
-        if mixture.model_id not in stores:
-            raise MissingModelError(f"no store for model {mixture.model_id!r}")
-    rows = []
+    layer_sets: dict[str, LayeredTokenEmbedding] = {}
     any_resolved = False
-    for position, token in enumerate(tokens):
-        layer_sets: dict[str, LayeredTokenEmbedding] = {}
-        for mixture in spec.mixtures:
-            store = stores[mixture.model_id]
-            layers = store.lookup(token, position)
-            if layers is None:
-                layers = np.zeros((store.num_layers, store.dim), dtype=store.dtype)
-            else:
+    for model_id in dict.fromkeys(m.model_id for m in spec.mixtures):
+        store = stores.get(model_id)
+        if store is None:
+            raise MissingModelError(f"no store for model {model_id!r}")
+        layers = np.zeros((len(tokens), store.num_layers, store.dim), dtype=store.dtype)
+        for position, token in enumerate(tokens):
+            row = store.lookup(token, position)
+            if row is not None:
+                layers[position] = row
                 any_resolved = True
-            layer_sets[mixture.model_id] = LayeredTokenEmbedding(
-                model_id=mixture.model_id, layers=layers
-            )
-        rows.append(compose_token(layer_sets, spec, lookup_idf(idf, token)))
-    if not rows or not any_resolved:
+        layer_sets[model_id] = LayeredTokenEmbedding(model_id=model_id, layers=layers)
+    if not any_resolved:
         raise EmptyTextError("no token of the text resolves in any embedding store")
-    return np.stack(rows)
+    return compose_token(layer_sets, spec, np.array([lookup_idf(idf, t) for t in tokens]))

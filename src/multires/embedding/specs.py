@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from multires.errors import ParseError, SpecError
+from multires.fileio import key_value_lines
 
 AGGREGATORS = ("sum", "average", "concatenate")
 WEIGHT_SUM_TOL = 1e-9
@@ -108,15 +109,7 @@ def parse_spec_file(path: str) -> EnsembleSpec:
     ensemble_fields: dict[str, tuple[str, int]] = {}
     mixture_fields: dict[int, dict[str, tuple[str, int]]] = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ParseError(f"expected key=value, got {line!r}", line=lineno)
-            key, value = line.split("=", 1)
-            key = key.strip()
-            value = value.strip()
+        for lineno, key, value in key_value_lines(fh):
             parts = key.split(".")
             if parts[0] == "ensemble" and len(parts) == 2:
                 ensemble_fields[parts[1]] = (value, lineno)

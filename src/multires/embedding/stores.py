@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from multires.errors import FormatError
-from multires.fileio import atomic_write
+from multires.fileio import atomic_write, read_exact
 
 MRE_MAGIC = b"MRE1"
 MRT_MAGIC = b"MRT1"
@@ -67,13 +67,6 @@ class ContextualStore:
         return None
 
 
-def _read_exact(fh, count: int, what: str) -> bytes:
-    data = fh.read(count)
-    if len(data) != count:
-        raise FormatError(f"truncated file: expected {count} bytes for {what}")
-    return data
-
-
 def write_context_free_store(path: str, store: ContextFreeStore) -> None:
     with atomic_write(path) as fh:
         fh.write(MRE_MAGIC)
@@ -92,20 +85,20 @@ def write_context_free_store(path: str, store: ContextFreeStore) -> None:
 
 def read_context_free_store(path: str, model_id: str) -> ContextFreeStore:
     with open(path, "rb") as fh:
-        magic = _read_exact(fh, 4, "magic")
+        magic = read_exact(fh, 4, "magic")
         if magic != MRE_MAGIC:
             raise FormatError(f"bad magic {magic!r}, expected {MRE_MAGIC!r}")
-        version, vocab, num_layers, dim = struct.unpack("<HIHI", _read_exact(fh, 12, "header"))
+        version, vocab, num_layers, dim = struct.unpack("<HIHI", read_exact(fh, 12, "header"))
         if version != _VERSION:
             raise FormatError(f"unsupported version {version}")
         vectors: dict[str, np.ndarray] = {}
         payload = num_layers * dim * 4
         for _ in range(vocab):
-            (token_len,) = struct.unpack("<I", _read_exact(fh, 4, "token length"))
-            token = _read_exact(fh, token_len, "token").decode("utf-8")
+            (token_len,) = struct.unpack("<I", read_exact(fh, 4, "token length"))
+            token = read_exact(fh, token_len, "token").decode("utf-8")
             if token in vectors:
                 raise FormatError(f"duplicate token {token!r} in store")
-            raw = _read_exact(fh, payload, f"layers of token {token!r}")
+            raw = read_exact(fh, payload, f"layers of token {token!r}")
             vectors[token] = np.frombuffer(raw, dtype="<f4").reshape(num_layers, dim).copy()
         trailing = fh.read(1)
         if trailing:
@@ -127,15 +120,15 @@ def write_contextual_store(path: str, store: ContextualStore) -> None:
 
 def read_contextual_store(path: str, model_id: str) -> ContextualStore:
     with open(path, "rb") as fh:
-        magic = _read_exact(fh, 4, "magic")
+        magic = read_exact(fh, 4, "magic")
         if magic != MRT_MAGIC:
             raise FormatError(f"bad magic {magic!r}, expected {MRT_MAGIC!r}")
         version, text_id, k, num_layers, dim = struct.unpack(
-            "<HIIHI", _read_exact(fh, 16, "header")
+            "<HIIHI", read_exact(fh, 16, "header")
         )
         if version != _VERSION:
             raise FormatError(f"unsupported version {version}")
-        raw = _read_exact(fh, k * num_layers * dim * 4, "layer payload")
+        raw = read_exact(fh, k * num_layers * dim * 4, "layer payload")
         trailing = fh.read(1)
         if trailing:
             raise FormatError("trailing bytes after layer payload")

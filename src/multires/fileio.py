@@ -1,10 +1,12 @@
-"""Crash-safe file replacement shared by every binary writer."""
+"""File helpers shared by the readers and writers of every file format."""
 
 from __future__ import annotations
 
 import os
 import secrets
 from contextlib import contextmanager
+
+from multires.errors import FormatError, ParseError
 
 
 @contextmanager
@@ -28,3 +30,23 @@ def atomic_write(path: str):
     except BaseException:
         os.unlink(tmp)
         raise
+
+
+def read_exact(fh, count: int, what: str) -> bytes:
+    """Read exactly ``count`` bytes; a short read raises FormatError naming ``what``."""
+    data = fh.read(count)
+    if len(data) != count:
+        raise FormatError(f"truncated file: expected {count} bytes for {what}")
+    return data
+
+
+def key_value_lines(fh):
+    """Yield (line number, key, value) per ``key=value`` line; ``#`` starts a comment."""
+    for lineno, raw in enumerate(fh, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ParseError(f"expected key=value, got {line!r}", line=lineno)
+        key, value = line.split("=", 1)
+        yield lineno, key.strip(), value.strip()

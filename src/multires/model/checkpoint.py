@@ -17,7 +17,7 @@ import zlib
 import numpy as np
 
 from multires.errors import FormatError
-from multires.fileio import atomic_write
+from multires.fileio import atomic_write, read_exact
 from multires.model.encoder import ConvBlock, ConvRRParams, FCRRParams
 
 CRR_MAGIC = b"CRR1"
@@ -34,20 +34,13 @@ def _write_tensor(buf: io.BytesIO, arr: np.ndarray) -> None:
 
 
 def _read_tensor(fh) -> np.ndarray:
-    (ndim,) = struct.unpack("<B", _read_exact(fh, 1, "tensor rank"))
+    (ndim,) = struct.unpack("<B", read_exact(fh, 1, "tensor rank"))
     shape = tuple(
-        struct.unpack("<I", _read_exact(fh, 4, "tensor dim"))[0] for _ in range(ndim)
+        struct.unpack("<I", read_exact(fh, 4, "tensor dim"))[0] for _ in range(ndim)
     )
     count = int(np.prod(shape)) if shape else 1
-    raw = _read_exact(fh, count * 4, "tensor payload")
+    raw = read_exact(fh, count * 4, "tensor payload")
     return np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
-
-
-def _read_exact(fh, count: int, what: str) -> bytes:
-    data = fh.read(count)
-    if len(data) != count:
-        raise FormatError(f"truncated checkpoint: expected {count} bytes for {what}")
-    return data
 
 
 def serialize_params(params, kind: str) -> bytes:
@@ -91,9 +84,9 @@ def read_checkpoint(path: str):
     if zlib.crc32(payload) & 0xFFFFFFFF != crc:
         raise FormatError("bad checksum")
     fh = io.BytesIO(payload)
-    _read_exact(fh, 4, "magic")
+    read_exact(fh, 4, "magic")
     version, kind_code, depth, window, scale, dim = struct.unpack(
-        "<HBHHfI", _read_exact(fh, 15, "header")
+        "<HBHHfI", read_exact(fh, 15, "header")
     )
     if version != _VERSION:
         raise FormatError(f"unsupported version {version}")

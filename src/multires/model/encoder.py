@@ -349,15 +349,14 @@ def encode_texts(matrices: list[np.ndarray], params) -> np.ndarray:
     return outputs
 
 
-def pair_distance(a: np.ndarray, b: np.ndarray, checked: bool = True) -> float:
+def pair_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Squared Euclidean distance between two unit vectors (2 - 2 a.b)."""
     if a.shape != b.shape:
         raise ShapeError(f"vector shapes {a.shape} and {b.shape} disagree")
-    if checked:
-        for name, v in (("a", a), ("b", b)):
-            norm = float(np.linalg.norm(v))
-            if abs(norm - 1.0) > 1e-6:
-                raise ContractError(f"vector {name} has norm {norm!r}, expected unit")
+    for name, v in (("a", a), ("b", b)):
+        norm = float(np.linalg.norm(v))
+        if abs(norm - 1.0) > 1e-6:
+            raise ContractError(f"vector {name} has norm {norm!r}, expected unit")
     return float(np.sum((a - b) ** 2))
 
 

@@ -229,6 +229,11 @@ class TestRunConfigKeys:
         assert main(["eval", "--config", str(ws["config"]), "--k", "1"]) == 0
         assert set(json.loads(ws["report"].read_text())["recall"]) == {"1"}
 
+    def test_eval_bad_k_flag_exit_2(self, cli_workspace, capsys):
+        ws = cli_workspace
+        assert main(["eval", "--config", str(ws["config"]), "--k", "x"]) == 2
+        assert "bad value 'x' for key 'k'" in capsys.readouterr().err
+
 
 class TestIndexSearch:
     def test_index_then_search(self, cli_workspace, capsys):

@@ -145,6 +145,27 @@ class TestLoaders:
             load_qa_pairs(str(path), docs)
         assert err.value.line == 2
 
+    @pytest.mark.parametrize(
+        "line", ["5", "null", '"query_id query_text positive_doc_id"'], ids=["int", "null", "str"]
+    )
+    @pytest.mark.parametrize(
+        "first, load",
+        [
+            ('{"id": "d1", "text": "x"}', load_corpus),
+            (
+                '{"query_id": "q1", "query_text": "hi", "positive_doc_id": "d1"}',
+                lambda path: load_qa_pairs(path, [Document("d1", "x")]),
+            ),
+        ],
+        ids=["corpus", "qa_pairs"],
+    )
+    def test_non_object_line_names_line(self, tmp_path, line, first, load):
+        path = tmp_path / "f.jsonl"
+        path.write_text(f"{first}\n{line}\n")
+        with pytest.raises(ParseError, match="JSON object") as err:
+            load(str(path))
+        assert err.value.line == 2
+
     def test_dangling_doc_id_names_it(self, tmp_path):
         path = tmp_path / "p.jsonl"
         path.write_text('{"query_id": "q1", "query_text": "hi", "positive_doc_id": "ghost"}\n')

@@ -1,10 +1,13 @@
 """Mixture/ensemble algebra and text composition."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from multires.corpus import Document, IdfTable, build_idf
+import multires.embedding.compose as compose_mod
+from multires.corpus import Document, IdfTable, build_idf, lookup_idf
 from multires.embedding import (
     ContextFreeStore,
     EnsembleSpec,
@@ -17,7 +20,9 @@ from multires.embedding import (
     mix_layers,
     parse_spec_file,
 )
-from multires.errors import EmptyTextError, MissingModelError, ParseError, SpecError
+from multires.embedding.specs import AGGREGATORS
+from multires.embedding.stores import ContextualStore
+from multires.errors import EmptyTextError, MissingModelError, ParseError, ShapeError, SpecError
 
 
 def one_model_spec(model_id, weights, aggregator, use_idf=False, u=(1.0,)):
@@ -78,6 +83,16 @@ class TestMixLayers:
     def test_weights_must_sum_to_one(self):
         with pytest.raises(SpecError):
             MixtureSpec("m", (0.5, 0.6), "sum")
+
+    def test_idf_shape_must_be_the_leading_shape(self, rng):
+        spec = MixtureSpec("m", (0.5, 0.5), "sum", use_idf=True)
+        stack = LayeredTokenEmbedding("m", rng.normal(size=(4, 2, 3)))
+        for bad in (1.0, np.ones(3), np.ones(5), np.ones((4, 1))):
+            with pytest.raises(ShapeError):
+                mix_layers(stack, spec, bad)
+        with pytest.raises(ShapeError):
+            mix_layers(LayeredTokenEmbedding("m", rng.normal(size=(2, 3))), spec, np.ones(2))
+        assert mix_layers(stack, spec, np.ones(4)).shape == (4, 3)
 
     def test_use_idf_false_ignores_weight(self, rng):
         emb = LayeredTokenEmbedding("m", rng.normal(size=(2, 4)))
@@ -287,6 +302,80 @@ class TestComposeText:
         assert matrix.shape == (2, 5)
         assert np.array_equal(matrix[0, :2], matrix[1, :2])  # context-free segment repeats
         assert not np.array_equal(matrix[0, 2:], matrix[1, 2:])  # contextual differs
+
+
+class TestComposeTextStacks:
+    """compose_text composes each text in one call; its rows equal per-token composition."""
+
+    TOKENS = ["x", "y", "ghost", "x", "z"]
+
+    def _inputs(self, rng, mix_agg, ens_agg, use_idf, scale_segments, dtype):
+        def free(model_id, num_layers, dim, words):
+            vectors = {w: rng.normal(size=(num_layers, dim)).astype(dtype) for w in words}
+            return ContextFreeStore(model_id, num_layers, dim, vectors, np.dtype(dtype))
+
+        stores = {
+            "a": free("a", 3, 4, ["x", "y", "z"]),
+            "b": free("b", 2, 3, ["x", "z"]),  # "y" resolves in store a only
+            "c": ContextualStore("c", 0, rng.normal(size=(len(self.TOKENS), 2, 5)).astype(dtype)),
+        }
+        weights = {"a": (0.5, 0.0, 0.5), "b": (0.25, 0.75), "c": (1.0, 0.0)}
+        mixtures = tuple(
+            MixtureSpec(m, w, mix_agg, use_idf=use_idf, scale_segments=scale_segments)
+            for m, w in weights.items()
+        )
+        spec = EnsembleSpec.normalized(mixtures, (1.0, 2.0, 3.0), ens_agg)
+        idf = build_idf([Document("1", "x y"), Document("2", "x z"), Document("3", "x")])
+        return stores, spec, idf
+
+    @staticmethod
+    def _per_token(tokens, stores, spec, idf):
+        rows = []
+        for position, token in enumerate(tokens):
+            sets = {}
+            for mixture in spec.mixtures:
+                store = stores[mixture.model_id]
+                layers = store.lookup(token, position)
+                if layers is None:
+                    layers = np.zeros((store.num_layers, store.dim), dtype=store.dtype)
+                sets[mixture.model_id] = LayeredTokenEmbedding(mixture.model_id, layers)
+            rows.append(compose_token(sets, spec, lookup_idf(idf, token)))
+        return np.stack(rows)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("scale_segments", [True, False])
+    @pytest.mark.parametrize("use_idf", [True, False])
+    @pytest.mark.parametrize("ens_agg", AGGREGATORS)
+    @pytest.mark.parametrize("mix_agg", AGGREGATORS)
+    def test_rows_equal_per_token_composition(
+        self, rng, mix_agg, ens_agg, use_idf, scale_segments, dtype
+    ):
+        stores, spec, idf = self._inputs(rng, mix_agg, ens_agg, use_idf, scale_segments, dtype)
+        matrix = compose_text(self.TOKENS, stores, spec, idf)
+        expected = self._per_token(self.TOKENS, stores, spec, idf)
+        assert matrix.dtype == expected.dtype == dtype
+        assert np.array_equal(matrix, expected)
+
+    def test_one_compose_token_call_per_text(self, rng, monkeypatch):
+        calls = Counter()
+
+        def counted(name):
+            original = getattr(compose_mod, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(compose_mod, name, wrapper)
+
+        for name in ("LayeredTokenEmbedding", "mix_layers", "ensemble", "compose_token"):
+            counted(name)
+        stores, spec, idf = self._inputs(rng, "sum", "concatenate", True, True, np.float32)
+        assert compose_mod.compose_text(self.TOKENS, stores, spec, idf).shape[0] == 5
+        # one layer stack per model, one mixture per model, one ensemble
+        assert calls == {
+            "LayeredTokenEmbedding": 3, "mix_layers": 3, "ensemble": 1, "compose_token": 1
+        }
 
 
 class TestProperties:
