@@ -23,7 +23,7 @@ from multires.embedding.stores import (
     write_contextual_store,
 )
 from multires.errors import MultiresError, ParseError
-from multires.fileio import key_value_lines
+from multires.fileio import atomic_write, key_value_lines, open_text
 from multires.model.checkpoint import read_checkpoint, write_checkpoint
 from multires.model.encoder import encode_texts
 from multires.model.loss import LossConfig
@@ -121,7 +121,7 @@ def _set_key(cfg: RunConfig, key: str, value, line: int | None = None) -> None:
 
 def parse_run_config(path: str) -> RunConfig:
     cfg = RunConfig()
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, key, value in key_value_lines(fh):
             _set_key(cfg, key, value, lineno)
     return cfg
@@ -171,6 +171,9 @@ def cmd_compose(args) -> int:
             raise ParseError(f"--store expects model=path, got {item!r}")
         store_paths[model] = path
     texts = corpus_mod.load_corpus(args.texts)
+    for doc in texts:
+        if os.path.dirname(f"{doc.id}.mrt") or "\0" in doc.id:
+            raise ParseError(f"document id {doc.id!r} is not a plain file name")
     compose = _load_composer(store_paths, args.spec, args.idf, texts)
     os.makedirs(args.out_dir, exist_ok=True)
     dim = 0
@@ -201,12 +204,11 @@ def cmd_train(args) -> int:
     result = train(pairs, query_matrices, doc_matrices, encoder_kind=cfg.encoder, cfg=train_cfg)
     write_checkpoint(cfg.checkpoint, result.params, result.kind)
     if cfg.loss_trace:
-        with open(cfg.loss_trace, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("iteration,mean_loss,active_triplet_fraction\n")
-            for i, (loss, frac) in enumerate(
-                zip(result.loss_trace, result.active_fractions), start=1
-            ):
-                fh.write(f"{i},{loss!r},{frac!r}\n")
+        rows = zip(result.loss_trace, result.active_fractions)
+        lines = ["iteration,mean_loss,active_triplet_fraction\n"]
+        lines += [f"{i},{loss!r},{frac!r}\n" for i, (loss, frac) in enumerate(rows, start=1)]
+        with atomic_write(cfg.loss_trace) as fh:
+            fh.write("".join(lines).encode("utf-8"))
     print(f"trained {cfg.encoder} for {train_cfg.iterations} iterations -> {cfg.checkpoint}")
     return 0
 
@@ -264,9 +266,8 @@ def cmd_eval(args) -> int:
     params, _ = read_checkpoint(cfg.checkpoint)
     gold = {p.query_id: p.positive_doc_id for p in pairs}
     report = evaluate(params, query_matrices, doc_matrices, cfg.ks, gold)
-    with open(cfg.report, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(report.to_json())
-        fh.write("\n")
+    with atomic_write(cfg.report) as fh:
+        fh.write(f"{report.to_json()}\n".encode("utf-8"))
     print(f"evaluated {report.num_queries} queries -> {cfg.report}")
     return 0
 

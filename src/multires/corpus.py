@@ -14,6 +14,7 @@ import re
 from dataclasses import dataclass, field
 
 from multires.errors import EmptyCorpusError, IntegrityError, ParseError
+from multires.fileio import atomic_write, open_text
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
@@ -71,15 +72,14 @@ def lookup_idf(table: IdfTable, token: str) -> float:
 
 def save_idf(table: IdfTable, path: str) -> None:
     """Write the TSV export; rows sorted by token for reproducible bytes."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"#N={table.num_documents}\n")
-        for token in sorted(table.entries):
-            df, idf = table.entries[token]
-            fh.write(f"{token}\t{df}\t{idf!r}\n")
+    lines = [f"#N={table.num_documents}\n"]
+    lines += [f"{token}\t{df}\t{idf!r}\n" for token, (df, idf) in sorted(table.entries.items())]
+    with atomic_write(path) as fh:
+        fh.write("".join(lines).encode("utf-8"))
 
 
 def load_idf(path: str) -> IdfTable:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         header = fh.readline().rstrip("\n")
         if not header.startswith("#N="):
             raise ParseError("idf file must start with '#N=<num_documents>'", line=1)
@@ -128,7 +128,7 @@ def load_corpus(path: str) -> list[Document]:
     """Read corpus JSONL; ids must be nonempty and unique."""
     docs: list[Document] = []
     seen: set[str] = set()
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, obj in _jsonl_objects(fh, ("id", "text")):
             doc_id = obj["id"]
             if not isinstance(doc_id, str) or not doc_id:
@@ -144,7 +144,7 @@ def load_qa_pairs(path: str, corpus: list[Document]) -> list[QaPair]:
     """Read QA pairs JSONL and validate every positive_doc_id against the corpus."""
     doc_ids = {doc.id for doc in corpus}
     pairs: list[QaPair] = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, obj in _jsonl_objects(fh, ("query_id", "query_text", "positive_doc_id")):
             pair = QaPair(
                 query_id=str(obj["query_id"]),

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from multires.errors import ParseError, SpecError
-from multires.fileio import key_value_lines
+from multires.fileio import key_value_lines, open_text
 
 AGGREGATORS = ("sum", "average", "concatenate")
 WEIGHT_SUM_TOL = 1e-9
@@ -108,7 +108,7 @@ def parse_spec_file(path: str) -> EnsembleSpec:
     """Parse an ensemble/mixture config; errors carry exact line numbers."""
     ensemble_fields: dict[str, tuple[str, int]] = {}
     mixture_fields: dict[int, dict[str, tuple[str, int]]] = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, key, value in key_value_lines(fh):
             parts = key.split(".")
             if parts[0] == "ensemble" and len(parts) == 2:

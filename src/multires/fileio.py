@@ -1,12 +1,23 @@
-"""File helpers shared by the readers and writers of every file format."""
+"""File helpers shared by the readers and writers of every file format.
+
+Every binary file is one frame, little-endian:
+    4-byte magic | u16 version | body | u32 CRC32 of every preceding byte
+A format may go on reading older versions that were written without the
+trailer. Each format parses only its body.
+"""
 
 from __future__ import annotations
 
 import os
 import secrets
+import struct
+import zlib
 from contextlib import contextmanager
 
 from multires.errors import FormatError, ParseError
+
+_HEAD = struct.Struct("<4sH")
+_CRC = struct.Struct("<I")
 
 
 @contextmanager
@@ -32,12 +43,55 @@ def atomic_write(path: str):
         raise
 
 
-def read_exact(fh, count: int, what: str) -> bytes:
-    """Read exactly ``count`` bytes; a short read raises FormatError naming ``what``."""
-    data = fh.read(count)
-    if len(data) != count:
-        raise FormatError(f"truncated file: expected {count} bytes for {what}")
-    return data
+@contextmanager
+def open_text(path: str):
+    """Open a UTF-8 text input; a byte sequence that is not UTF-8 raises ParseError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:  # its position counts from a decode chunk, not the file
+        raise ParseError(f"{path} is not valid UTF-8 ({exc.reason})") from None
+
+
+def frame(magic: bytes, version: int, body):
+    """Yield the frame of ``body``, an iterable of byte chunks, chunk by chunk."""
+    head = _HEAD.pack(magic, version)
+    crc = zlib.crc32(head)
+    yield head
+    for chunk in body:
+        crc = zlib.crc32(chunk, crc)
+        yield chunk
+    yield _CRC.pack(crc)
+
+
+def read_frame(
+    path: str, magic: bytes, version: int, header: struct.Struct, unchecked: tuple[int, ...] = ()
+) -> tuple[tuple, memoryview]:
+    """Read ``path`` once into one writable buffer; return (``header`` fields, body).
+
+    Checks, in order: the magic; the version (``version``, or an older one
+    in ``unchecked``, written without the trailer); the length and CRC32.
+    Arrays built on the body share the buffer's memory.
+    """
+    with open(path, "rb") as fh:
+        buf = bytearray(os.fstat(fh.fileno()).st_size)
+        buf = memoryview(buf)[: fh.readinto(buf)]
+    if buf[:4] != magic:
+        raise FormatError(f"bad magic {bytes(buf[:4])!r}, expected {magic!r}")
+    if len(buf) < _HEAD.size:
+        raise FormatError("truncated file: no version")
+    found = _HEAD.unpack_from(buf)[1]
+    end = len(buf)
+    if found not in unchecked:
+        if found != version:
+            raise FormatError(f"unsupported version {found}")
+        end -= _CRC.size
+        if end < _HEAD.size or zlib.crc32(buf[:end]) != _CRC.unpack_from(buf, end)[0]:
+            raise FormatError("bad checksum: file truncated or corrupted")
+    body = buf[_HEAD.size : end]
+    if len(body) < header.size:
+        raise FormatError(f"truncated file: expected a {header.size}-byte header")
+    return header.unpack_from(body), body
 
 
 def key_value_lines(fh):

@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -281,3 +284,84 @@ class TestIndexSearch:
         assert capsys.readouterr().out == by_corpus
         assert main(["search", "--config", str(neither), "item1 tag1"]) == 2
         assert "search needs an 'idf' or 'corpus' key" in capsys.readouterr().err
+
+
+class TestInputErrors:
+    def test_corpus_not_utf8_exit_2(self, tmp_path, capsys):
+        corpus = tmp_path / "c.jsonl"
+        corpus.write_bytes(b'{"id": "a", "text": "caf\xe9"}\n')
+        assert main(["build-idf", str(corpus), str(tmp_path / "idf.tsv")]) == 2
+        assert "c.jsonl is not valid UTF-8" in capsys.readouterr().err
+
+    def test_store_token_not_utf8_exit_2(self, cli_workspace, capsys):
+        body = struct.pack("<IHII", 1, 2, 4, 1) + b"\xff" + np.zeros(8, "<f4").tobytes()
+        cli_workspace["store"].write_bytes(b"MRE1" + struct.pack("<H", 1) + body)
+        assert main(["train", "--config", str(cli_workspace["config"])]) == 2
+        assert "is not UTF-8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc_id", ["../escaped", "sub/name"])
+    def test_compose_rejects_an_id_that_is_not_a_file_name(self, cli_workspace, doc_id, capsys):
+        ws = cli_workspace
+        texts = ws["dir"] / "texts.jsonl"
+        texts.write_text(
+            json.dumps({"id": "doc0", "text": "common"}) + "\n"
+            + json.dumps({"id": doc_id, "text": "common"}) + "\n"
+        )
+        before = sorted(p.name for p in ws["dir"].iterdir())
+        out_dir = ws["dir"] / "out"
+        args = ["compose", "--spec", str(ws["spec"]), "--store", f"toy={ws['store']}"]
+        assert main(args + ["--texts", str(texts), "--out-dir", str(out_dir)]) == 2
+        assert "is not a plain file name" in capsys.readouterr().err
+        assert sorted(p.name for p in ws["dir"].iterdir()) == before
+
+
+@pytest.mark.parametrize("output", ["idf", "loss_trace", "report"])
+def test_failed_text_write_keeps_the_previous_file(cli_workspace, monkeypatch, output):
+    ws = cli_workspace
+    assert main(["train", "--config", str(ws["config"])]) == 0
+    target = ws["dir"] / "idf.tsv" if output == "idf" else ws[output]
+    target.write_text("previous\n")
+    real_replace = os.replace
+
+    def replace(src, dst):
+        if os.fspath(dst) == str(target):
+            raise OSError("disk full")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+    if output == "idf":
+        argv = ["build-idf", str(ws["corpus"]), str(target)]
+    else:
+        argv = ["train" if output == "loss_trace" else "eval", "--config", str(ws["config"])]
+    assert main(argv) == 2
+    assert target.read_text() == "previous\n"
+    assert not [p for p in ws["dir"].iterdir() if p.name.endswith(".tmp")]
+
+
+class TestIndexFiles:
+    def test_search_answers_from_a_v1_index(self, cli_workspace, capsys):
+        ws = cli_workspace
+        v1 = Path(__file__).parent / "data" / "v1_index.mre"
+        v2 = ws["dir"] / "v2_index.mre"
+        write_context_free_store(str(v2), read_context_free_store(str(v1), "index"))
+        assert main(["train", "--config", str(ws["config"])]) == 0
+        outputs = []
+        for index in (v1, v2):
+            config = ws["dir"] / f"{index.stem}.cfg"
+            config.write_text(ws["config"].read_text() + f"index={index}\n")
+            capsys.readouterr()
+            assert main(["search", "--config", str(config), "item2 tag2"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert "doc2\t" in outputs[0]
+        assert len(outputs[0].splitlines()) == 5
+        assert outputs[0] == outputs[1]
+
+    def test_search_on_a_flipped_index_byte_exit_2(self, cli_workspace, capsys):
+        ws = cli_workspace
+        assert main(["train", "--config", str(ws["config"])]) == 0
+        assert main(["index", "--config", str(ws["config"])]) == 0
+        blob = bytearray(ws["index"].read_bytes())
+        blob[len(blob) // 2] ^= 0x10
+        ws["index"].write_bytes(bytes(blob))
+        assert main(["search", "--config", str(ws["config"]), "item2 tag2"]) == 2
+        assert "checksum" in capsys.readouterr().err
