@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from multires.errors import ConfigError, ContractError, ShapeError
+from multires.errors import ConfigError, ContractError, NumericalError, ShapeError
 from multires.numerics import kernels
 from multires.numerics.ops import (
     l2_normalize,
@@ -72,6 +72,9 @@ class ConvRRParams:
             out.append(blk.bias)
         return out
 
+    def tensor_names(self) -> list[str]:
+        return [f"block{i}.{part}" for i in range(1, self.depth + 1) for part in ("kernels", "bias")]
+
     def replace_tensors(self, tensors: list[np.ndarray]) -> "ConvRRParams":
         blocks = [
             ConvBlock(kernels=tensors[2 * i], bias=tensors[2 * i + 1])
@@ -106,6 +109,9 @@ class FCRRParams:
 
     def tensors(self) -> list[np.ndarray]:
         return [self.weight, self.bias]
+
+    def tensor_names(self) -> list[str]:
+        return ["weight", "bias"]
 
     def replace_tensors(self, tensors: list[np.ndarray]) -> "FCRRParams":
         return FCRRParams(weight=tensors[0], bias=tensors[1], scale=self.scale)
@@ -350,7 +356,10 @@ def encode_texts(matrices: list[np.ndarray], params) -> np.ndarray:
 
 
 def pair_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Squared Euclidean distance between two unit vectors (2 - 2 a.b)."""
+    """Squared Euclidean distance between two unit vectors, sum((a - b)**2).
+
+    The elementwise sum, not the Gram form 2 - 2 a.b, which rounds differently.
+    """
     if a.shape != b.shape:
         raise ShapeError(f"vector shapes {a.shape} and {b.shape} disagree")
     for name, v in (("a", a), ("b", b)):
@@ -363,3 +372,152 @@ def pair_distance(a: np.ndarray, b: np.ndarray) -> float:
 def squared_distances(vectors: np.ndarray, query: np.ndarray) -> np.ndarray:
     """Row-wise squared Euclidean distances; bitwise equal to pair_distance."""
     return np.sum((vectors - query) ** 2, axis=1)
+
+
+# Query x vector cells estimated per block; bounds nearest's temporary arrays.
+BLOCK_CELLS = 1 << 15
+
+
+def row_sq_norms(vectors: np.ndarray) -> np.ndarray:
+    """Squared row norms in float64, the form ``nearest`` takes."""
+    v = np.asarray(vectors, dtype=np.float64)
+    return np.einsum("ij,ij->i", v, v)
+
+
+def _gamma(n: int, u: float) -> float:
+    """Higham's gamma_n = n u / (1 - n u); inf once n u reaches 1."""
+    return n * u / (1.0 - n * u) if n * u < 1.0 else np.inf
+
+
+def _check_finite_rows(name: str, norms: np.ndarray) -> None:
+    """Raise for the first row whose squared norm is not finite."""
+    if not np.isfinite(norms.sum()):  # one reduction in the common, finite case
+        bad = np.flatnonzero(~np.isfinite(norms))
+        if bad.size:
+            raise NumericalError(f"{name} row {bad[0]} is non-finite")
+
+
+def nearest(
+    queries: np.ndarray,
+    vectors: np.ndarray,
+    k: int,
+    *,
+    sq_norms: np.ndarray | None = None,
+    exclude: np.ndarray | None = None,
+    floor: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact top-k rows of ``vectors`` for each query, ranked by (distance, index).
+
+    Returns ``(indices, distances)``, both (Q, k') with k' = min(k, number
+    of rows a query may pick). Row q equals
+    ``np.argsort(squared_distances(vectors, queries[q]), kind="stable")[:k]``
+    and the distances at those indices, bit for bit, whatever k, ties and
+    dtype. ``sq_norms`` are the float64 squared row norms of ``vectors``
+    (``row_sq_norms``), passed in when the same vectors serve many calls.
+    ``exclude`` holds one column per query that it may not pick. With
+    ``floor``, a query skips every row whose exact distance is below
+    ``floor[q]``; entries past the rows it has left read index -1 and
+    distance inf.
+
+    The ranking runs in blocks of at most ``BLOCK_CELLS`` cells:
+
+    1. One GEMM in the inputs' dtype estimates every distance,
+       E = |q|^2 + |v|^2 - 2 q.v, with the squared norms in float64.
+    2. Only rows whose E lies within 2 eps of the query's k-th smallest E
+       stay candidates.
+    3. The candidates' distances are recomputed by ``squared_distances``'s
+       elementwise sums and ranked by (distance, index).
+
+    Why eps suffices. Let u be the unit roundoff of the inputs' result
+    dtype, gamma_n(u) = n u / (1 - n u), d the width, and S = |q - v|^2
+    the exact distance, so S <= B = (|q| + max|v|)^2. The reference
+    distance D sums d terms fl(fl(q_i - v_i)^2): each term carries three
+    roundings and the sum d - 1 more, in any order, so
+    |D - S| <= gamma_{d+2}(u) S. The product q.v in dtype errs by at most
+    gamma_d(u) sum|q_i v_i| <= gamma_d(u) |q||v| <= gamma_d(u) B / 4,
+    whatever order the BLAS sums in, and E doubles that error. The float64
+    norms err by gamma_d(2^-53) times |q|^2 or |v|^2, and forming E
+    and the thresholds adds a few roundings of order 2^-53 B. Together
+    |E - D| <= eps with
+
+        eps = (3 gamma_{d+2}(u) + 8 gamma_{d+4}(2^-53)) B * 1.01
+              + 4 (d + 2) * smallest subnormal of dtype,
+
+    where 1.01 covers the rounding of eps itself and the last term covers
+    underflow in the products and squares. Then every row within the
+    query's exact top k has D <= (k-th smallest D) <= (k-th smallest E) +
+    eps, so E <= k-th E + 2 eps: the filter never drops a row the full sort
+    would return, ties at the k-th distance included. With ``floor``, a row
+    is skipped outright when E + eps < floor, kept outright when
+    E - eps >= floor, and recomputed when E lies in that band, so the
+    ``< floor`` test is made on exact distances. A query whose B exceeds
+    the dtype's range (the product could overflow) gets eps = inf: all its
+    rows are recomputed. The argument needs finite inputs, so a query or
+    vector row that is non-finite, or whose squared norm overflows float64,
+    raises ``NumericalError``.
+    """
+    q = np.asarray(queries)
+    v = np.asarray(vectors)
+    if q.ndim != 2 or v.ndim != 2 or q.shape[1] != v.shape[1]:
+        raise ShapeError(f"query block {q.shape} and vectors {v.shape} do not match")
+    if k < 1:
+        raise ShapeError(f"k must be >= 1, got {k}")
+    dtype = np.result_type(q, v)
+    (n_q, d), n = q.shape, v.shape[0]
+    kk = min(k, n - (exclude is not None))
+    q_norms = row_sq_norms(q)
+    v_norms = row_sq_norms(v) if sq_norms is None else sq_norms
+    _check_finite_rows("query", q_norms)
+    _check_finite_rows("vector", v_norms)
+    if kk < 1 or n_q == 0:
+        return np.zeros((n_q, max(kk, 0)), dtype=np.intp), np.zeros((n_q, max(kk, 0)), dtype=dtype)
+
+    finfo = np.finfo(dtype)
+    rate = (3 * _gamma(d + 2, float(finfo.eps) / 2) + 8 * _gamma(d + 4, 2.0**-53)) * 1.01
+    bound = (np.sqrt(q_norms) + np.sqrt(v_norms.max())) ** 2
+    eps = rate * bound + 4 * (d + 2) * float(finfo.smallest_subnormal)
+    wide = None if bound.max() <= finfo.max else ~(bound <= finfo.max)
+    if wide is not None:
+        eps[wide] = np.inf
+    qd, vd = q.astype(dtype, copy=False), v.astype(dtype, copy=False)
+
+    indices = np.empty((n_q, kk), dtype=np.intp)
+    dists = np.empty((n_q, kk), dtype=dtype)
+    rank = np.arange(kk)
+    step = max(1, BLOCK_CELLS // n)
+    for lo in range(0, n_q, step):
+        hi = min(lo + step, n_q)
+        qb, e_b = qd[lo:hi], eps[lo:hi, None]
+        est = np.multiply(qb @ vd.T, -2.0, dtype=np.float64)
+        est += q_norms[lo:hi, None]
+        est += v_norms
+        if wide is not None:
+            est[wide[lo:hi]] = 0.0  # the product may have overflowed; eps is inf
+        allowed = None
+        if exclude is not None or floor is not None:
+            allowed = np.ones(est.shape, dtype=bool)
+        if exclude is not None:
+            allowed[np.arange(hi - lo), exclude[lo:hi]] = False
+        if floor is not None:
+            f = np.asarray(floor[lo:hi], dtype=dtype).astype(np.float64)[:, None]
+            allowed &= ~(est + e_b < f)
+            rows, cols = np.nonzero(allowed & ~(est - e_b >= f))
+            exact = np.sum((vd[cols] - qb[rows]) ** 2, axis=1)
+            allowed[rows, cols] = ~(exact < f[rows, 0])
+            est[rows, cols] = exact
+        masked = est if allowed is None else np.where(allowed, est, np.inf)
+        kth = masked.min(axis=1) if kk == 1 else np.partition(masked, kk - 1, axis=1)[:, kk - 1]
+        cand = est <= kth[:, None] + 2 * e_b
+        rows, cols = np.nonzero(cand if allowed is None else cand & allowed)
+        exact = np.sum((vd[cols] - qb[rows]) ** 2, axis=1)
+        order = np.lexsort((cols, exact, rows))
+        counts = np.bincount(rows, minlength=hi - lo)
+        take = (counts.cumsum() - counts)[:, None] + rank
+        cols, exact = cols[order], exact[order]
+        if floor is not None:
+            # A query may run out of rows above its floor: those picks read
+            # a sentinel appended last, index -1 at distance inf.
+            take[rank >= counts[:, None]] = -1
+            cols, exact = np.append(cols, -1), np.append(exact, np.inf)
+        indices[lo:hi], dists[lo:hi] = cols[take], exact[take]
+    return indices, dists

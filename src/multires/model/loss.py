@@ -8,7 +8,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from multires.errors import ConfigError, MiningError
-from multires.model.encoder import squared_distances
+from multires.model.encoder import nearest
 
 
 @dataclass(frozen=True)
@@ -29,9 +29,45 @@ class TripletIndices:
     negative: int
 
 
-def triplet_loss(d_pos: float, d_neg: float, cfg: LossConfig) -> float:
-    """Hinge max(d_pos - d_neg + margin, 0)."""
-    return max(d_pos - d_neg + cfg.margin, 0.0)
+def triplet_loss(d_pos, d_neg, cfg: LossConfig):
+    """Hinge max(d_pos - d_neg + margin, 0), elementwise over arrays."""
+    return np.maximum(d_pos - d_neg + cfg.margin, 0.0)
+
+
+def triplet_step(
+    anchors: np.ndarray,
+    docs: np.ndarray,
+    positive: np.ndarray,
+    negative: np.ndarray,
+    cfg: LossConfig,
+) -> tuple[np.ndarray, int, np.ndarray, np.ndarray]:
+    """(losses, active count, anchor gradients, document gradients) of the mean
+    triplet loss, one triplet per anchor row.
+
+    Triplet i is (anchors[i], docs[positive[i]], docs[negative[i]]). The
+    distances are the elementwise sums in the inputs' dtype; the hinge runs
+    in float64. Document gradients accumulate with ``np.add.at`` in the
+    order positive, negative per triplet, triplet by triplet, so a document
+    that several triplets touch sums its terms in that order.
+    """
+    inv_b = 1.0 / anchors.shape[0]
+    to_pos = anchors - docs[positive]
+    to_neg = anchors - docs[negative]
+    d_pos = np.sum(to_pos**2, axis=1).astype(np.float64)
+    d_neg = np.sum(to_neg**2, axis=1).astype(np.float64)
+    losses = triplet_loss(d_pos, d_neg, cfg)
+    act = np.flatnonzero(losses > 0)
+    to_pos, to_neg = to_pos[act], to_neg[act]
+
+    g_anchor = np.zeros_like(anchors)
+    g_anchor[act] += (2 * inv_b) * (to_pos - to_neg)  # adds, so a -0.0 term still gives +0.0
+    rows = np.empty(2 * act.size, dtype=np.intp)
+    rows[0::2], rows[1::2] = positive[act], negative[act]
+    terms = np.empty((2 * act.size, docs.shape[1]), dtype=to_pos.dtype)
+    terms[0::2], terms[1::2] = (-2 * inv_b) * to_pos, (2 * inv_b) * to_neg
+    g_doc = np.zeros_like(docs)
+    np.add.at(g_doc, rows, terms)
+    return losses, int(act.size), g_anchor, g_doc
 
 
 def mine_hard(
@@ -46,31 +82,28 @@ def mine_hard(
     Ties break toward the smallest document index. Anchors whose hardest
     negative already satisfies the margin are kept (their loss clamps to 0).
     With semi_hard=True, candidates closer than the positive are excluded
-    first; when none remain the hardest overall is used instead.
+    first; when none remain the hardest overall is used instead. Distances
+    are the elementwise sums, ranked through ``encoder.nearest``.
     """
     if len(anchors) != len(positives):
         raise MiningError(f"{len(anchors)} anchors but {len(positives)} positives")
-    doc_ids = [doc_id for doc_id, _ in batch_docs]
-    doc_index = {doc_id: i for i, doc_id in enumerate(doc_ids)}
-    doc_matrix = np.stack([vec for _, vec in batch_docs])
-    triplets: list[TripletIndices] = []
-    for a, anchor in enumerate(anchors):
-        gold_id = gold.get(a)
-        if gold_id is None or gold_id not in doc_index:
+    doc_index = {doc_id: i for i, (doc_id, _) in enumerate(batch_docs)}
+    if len(doc_index) != len(batch_docs):
+        raise MiningError("batch documents repeat an id")
+    gold_cols = [doc_index.get(gold.get(a)) for a in range(len(anchors))]
+    for a, col in enumerate(gold_cols):
+        if col is None:
             raise MiningError(f"anchor {a} has no in-batch gold document")
-        pos_idx = doc_index[gold_id]
-        dists = squared_distances(doc_matrix, anchor)
-        mask = np.array([doc_id == gold_id for doc_id in doc_ids])
-        if mask.all():
+        if len(doc_index) < 2:
             raise MiningError(f"anchor {a} has no candidate negatives in the batch")
-        candidates = dists.copy()
-        candidates[mask] = np.inf
-        if semi_hard:
-            d_pos = float(np.sum((anchor - positives[a]) ** 2))
-            semi = candidates.copy()
-            semi[candidates < d_pos] = np.inf
-            if np.isfinite(semi).any():
-                candidates = semi
-        neg_idx = int(np.argmin(candidates))  # argmin takes the first, i.e. lowest index
-        triplets.append(TripletIndices(anchor=a, positive=pos_idx, negative=neg_idx))
-    return triplets
+    if not gold_cols:
+        return []
+    queries = np.asarray(anchors)
+    docs = np.stack([vec for _, vec in batch_docs])
+    exclude = np.array(gold_cols, dtype=np.intp)
+    floor = np.sum((queries - np.asarray(positives)) ** 2, axis=1) if semi_hard else None
+    negative = nearest(queries, docs, 1, exclude=exclude, floor=floor)[0][:, 0]
+    if semi_hard:
+        none_left = np.flatnonzero(negative < 0)
+        negative[none_left] = nearest(queries[none_left], docs, 1, exclude=exclude[none_left])[0][:, 0]
+    return list(map(TripletIndices, range(len(gold_cols)), gold_cols, negative.tolist()))

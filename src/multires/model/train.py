@@ -14,9 +14,9 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from multires.corpus import QaPair
-from multires.errors import ConfigError, DatasetError, IntegrityError
+from multires.errors import ConfigError, DatasetError, IntegrityError, NumericalError
 from multires.model import encoder as enc
-from multires.model.loss import LossConfig, mine_hard, triplet_loss
+from multires.model.loss import LossConfig, mine_hard, triplet_step
 from multires.numerics.adam import AdamConfig, AdamState, adam_step
 
 MINING_MODES = ("batch_hard", "full_scan", "semi_hard")
@@ -100,7 +100,7 @@ def train(
     full_scan = cfg.mining == "full_scan"
 
     result = TrainResult(params=params, kind=encoder_kind)
-    for _ in range(cfg.iterations):
+    for iteration in range(1, cfg.iterations + 1):
         if cursor + batch_size > n_pairs:
             order = rng.permutation(n_pairs)
             cursor = 0
@@ -114,43 +114,32 @@ def train(
 
         anchors, query_groups = enc.grouped_forward([queries[p.query_id] for p in batch], params)
         doc_outs, doc_groups = enc.grouped_forward([docs[d] for d in batch_doc_ids], params)
+        if not (np.isfinite(anchors).all() and np.isfinite(doc_outs).all()):
+            raise NumericalError(f"iteration {iteration}: the encoded batch is non-finite")
         doc_pos = {did: i for i, did in enumerate(batch_doc_ids)}
+        positive = np.array([doc_pos[p.positive_doc_id] for p in batch], dtype=np.intp)
 
-        gold = {i: p.positive_doc_id for i, p in enumerate(batch)}
-        positives = [doc_outs[doc_pos[p.positive_doc_id]] for p in batch]
         triplets = mine_hard(
-            list(anchors),
-            positives,
+            anchors,
+            doc_outs[positive],
             list(zip(batch_doc_ids, doc_outs)),
-            gold,
+            {i: p.positive_doc_id for i, p in enumerate(batch)},
             semi_hard=semi_hard,
         )
-
-        g_anchor = np.zeros_like(anchors)
-        g_doc = np.zeros_like(doc_outs)
-        losses = []
-        active = 0
-        inv_b = 1.0 / len(batch)
-        for t in triplets:
-            a = anchors[t.anchor]
-            p = doc_outs[t.positive]
-            n = doc_outs[t.negative]
-            d_pos = float(np.sum((a - p) ** 2))
-            d_neg = float(np.sum((a - n) ** 2))
-            loss = triplet_loss(d_pos, d_neg, cfg.loss)
-            losses.append(loss)
-            if loss > 0:
-                active += 1
-                g_anchor[t.anchor] += (2 * inv_b) * ((a - p) - (a - n))
-                g_doc[t.positive] += (-2 * inv_b) * (a - p)
-                g_doc[t.negative] += (2 * inv_b) * (a - n)
-
-        result.loss_trace.append(float(np.mean(losses)))
+        negative = np.array([t.negative for t in triplets], dtype=np.intp)
+        losses, active, g_anchor, g_doc = triplet_step(anchors, doc_outs, positive, negative, cfg.loss)
+        mean_loss = float(np.mean(losses))
+        if not np.isfinite(mean_loss):
+            raise NumericalError(f"iteration {iteration}: the batch loss is {mean_loss!r}")
+        result.loss_trace.append(mean_loss)
         result.active_fractions.append(active / len(batch))
 
         grads = enc.grouped_backward(params, query_groups, g_anchor)
         doc_grads = enc.grouped_backward(params, doc_groups, g_doc)
         grads = [g + dg for g, dg in zip(grads, doc_grads)]
+        for name, grad in zip(params.tensor_names(), grads):
+            if not np.isfinite(grad).all():
+                raise NumericalError(f"iteration {iteration}: the gradient of {name} is non-finite")
 
         new_tensors = []
         for i, (tensor, grad) in enumerate(zip(tensors, grads)):

@@ -1,13 +1,16 @@
 """Immutable document index, exact top-k search, recall@k evaluation.
 
-Search is exact brute force (O(|index| * d'') per query); candidate sets
-here are desk-scale and the tie-break authority is insertion order.
+Search ranks through ``encoder.nearest``: one GEMM estimates every
+distance, and only the rows whose estimate lies within a derived error
+bound of the k-th are recomputed with the elementwise sums. The result is
+bitwise that of sorting every elementwise distance, with ties broken by
+insertion order. Evaluation ranks its queries in blocks the same way.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -19,7 +22,7 @@ from multires.errors import (
     IntegrityError,
     ShapeError,
 )
-from multires.model.encoder import encode_texts, mean_embedding_encode, squared_distances
+from multires.model.encoder import encode_texts, mean_embedding_encode, nearest, row_sq_norms
 
 UNIT_TOL = 1e-6
 
@@ -28,6 +31,10 @@ UNIT_TOL = 1e-6
 class RetrievalIndex:
     ids: tuple[str, ...]
     vectors: np.ndarray  # (n, d''), unit rows
+    sq_norms: np.ndarray = field(init=False, repr=False, compare=False)  # float64, for nearest
+
+    def __post_init__(self):
+        object.__setattr__(self, "sq_norms", row_sq_norms(self.vectors))
 
     @property
     def dim(self) -> int:
@@ -65,6 +72,9 @@ def build_index(docs: Sequence[tuple[str, np.ndarray]]) -> RetrievalIndex:
             raise ShapeError(f"vector for {doc_id!r} has shape {vec.shape}, expected ({dim},)")
         ids.append(doc_id)
     vectors = np.stack([vec for _, vec in docs])
+    finite = np.isfinite(vectors).all(axis=1)
+    if not finite.all():
+        raise ContractError(f"vector for {ids[np.flatnonzero(~finite)[0]]!r} is non-finite")
     norms = np.linalg.norm(vectors, axis=1)
     bad = np.where(np.abs(norms - 1.0) > UNIT_TOL)[0]
     if bad.size:
@@ -80,9 +90,8 @@ def search(index: RetrievalIndex, query: np.ndarray, k: int) -> list[tuple[str, 
         raise ShapeError(f"k must be >= 1, got {k}")
     if query.ndim != 1 or query.shape[0] != index.dim:
         raise ShapeError(f"query shape {query.shape} does not match index dim {index.dim}")
-    dists = squared_distances(index.vectors, query)
-    ranked = np.argsort(dists, kind="stable")[: min(k, len(index))]
-    return [(index.ids[i], float(dists[i])) for i in ranked]
+    ranked, dists = nearest(query[None], index.vectors, k, sq_norms=index.sq_norms)
+    return [(index.ids[i], d) for i, d in zip(ranked[0].tolist(), dists[0].tolist())]
 
 
 def recall_at_k(
@@ -119,34 +128,35 @@ def evaluate(
         raise IntegrityError("no k values requested")
     ks = sorted(set(int(k) for k in ks))
     doc_ids = [doc_id for doc_id, _ in docs]
-    doc_vecs = _encode_all([m for _, m in docs], params)
-    index = build_index(list(zip(doc_ids, doc_vecs)))
+    index = build_index(list(zip(doc_ids, _encode_all([m for _, m in docs], params))))
     query_vecs = _encode_all([m for _, m in queries], params)
 
     max_k = max(ks)
-    rankings: dict[str, list[str]] = {}
+    ranked: list[list[str]] = [[] for _ in queries]
     pos = {d: i for i, d in enumerate(index.ids)}
-    for (qid, _), vec in zip(queries, query_vecs):
-        if candidates is not None and qid in candidates:
-            wanted = list(candidates[qid])
-            missing = [d for d in wanted if d not in pos]
-            if missing:
-                raise IntegrityError(f"candidate {missing[0]!r} for query {qid!r} not indexed")
-            sub = RetrievalIndex(
-                ids=tuple(wanted),
-                vectors=index.vectors[[pos[d] for d in wanted]],
-            )
-            rankings[qid] = [doc_id for doc_id, _ in search(sub, vec, max_k)]
-        else:
-            rankings[qid] = [doc_id for doc_id, _ in search(index, vec, max_k)]
+    full = []
+    for row, (qid, _) in enumerate(queries):
+        if candidates is None or qid not in candidates:
+            full.append(row)
+            continue
+        wanted = list(candidates[qid])
+        missing = [d for d in wanted if d not in pos]
+        if missing:
+            raise IntegrityError(f"candidate {missing[0]!r} for query {qid!r} not indexed")
+        sub = RetrievalIndex(ids=tuple(wanted), vectors=index.vectors[[pos[d] for d in wanted]])
+        ranked[row] = [doc_id for doc_id, _ in search(sub, query_vecs[row], max_k)]
+    if full:
+        top, _ = nearest(query_vecs[full], index.vectors, max_k, sq_norms=index.sq_norms)
+        for row, picks in zip(full, top.tolist()):
+            ranked[row] = [index.ids[i] for i in picks]
+    rankings = {qid: ranked[row] for row, (qid, _) in enumerate(queries)}
 
     recalls = {k: recall_at_k(rankings, gold, k) for k in ks}
     return EvalReport(num_queries=len(queries), recalls=recalls)
 
 
-def _encode_all(matrices: list[np.ndarray], params) -> list[np.ndarray]:
+def _encode_all(matrices: list[np.ndarray], params) -> np.ndarray:
+    """Encoded rows in input order, as one (len(matrices), d'') array."""
     if params is None:
-        return [mean_embedding_encode(np.asarray(m, dtype=np.float32)) for m in matrices]
-    as_f32 = [np.asarray(m, dtype=np.float32) for m in matrices]
-    encoded = encode_texts(as_f32, params)
-    return [encoded[i] for i in range(encoded.shape[0])]
+        return np.array([mean_embedding_encode(np.asarray(m, dtype=np.float32)) for m in matrices])
+    return encode_texts([np.asarray(m, dtype=np.float32) for m in matrices], params)
