@@ -66,3 +66,41 @@ def test_clear_gain_needs_nine_wins_in_ten_and_a_gap_beyond_the_parent_iqr():
     runs = [pair(i, (p, 1.0), (c, 1.0)) for i, (p, c) in enumerate(zip(parent, change))]
     out = bench_pairs.summarize(runs, METRICS)["round_s"]
     assert out["change_wins"] == 10 and not out["clear_gain"]
+
+
+def test_clear_gain_needs_ten_pairs():
+    parent = [6.0, 6.1, 6.2, 6.3, 6.4]
+    runs = [pair(i, (p, 100.0), (2.0, 500.0)) for i, p in enumerate(parent)]
+    out = bench_pairs.summarize(runs, METRICS)
+    assert out["round_s"]["change_wins"] == 5 and not out["round_s"]["clear_gain"]
+    assert out["eval_queries_per_s"]["change_wins"] == 5
+    assert not out["eval_queries_per_s"]["clear_gain"]
+
+
+def test_write_atomic_keeps_the_old_file_when_writing_fails(tmp_path, monkeypatch):
+    out = tmp_path / "BENCH_x.json"
+    bench_pairs.write_atomic(str(out), '{"a": 1}\n')
+    assert out.read_text() == '{"a": 1}\n'
+
+    def broken_fsync(fd):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(bench_pairs.os, "fsync", broken_fsync)
+    with pytest.raises(OSError, match="disk full"):
+        bench_pairs.write_atomic(str(out), '{"a": 2}\n')
+    assert out.read_text() == '{"a": 1}\n'
+    assert [p.name for p in tmp_path.iterdir()] == ["BENCH_x.json"]
+
+
+def test_a_pair_in_different_environments_stops_the_run(tmp_path, monkeypatch):
+    def fake_run_side(tree, workload, seed, seconds):
+        record = pair(seed, (6.0, 100.0), (2.0, 500.0))["parent"]
+        backend = "numba" if tree == bench_pairs.ROOT else "numpy"
+        return {**record, "environment": {"seed": seed, "conv_backend": backend}}
+
+    monkeypatch.setattr(bench_pairs, "run_side", fake_run_side)
+    monkeypatch.setattr(bench_pairs, "extract", lambda rev, into: str(tmp_path))
+    with pytest.raises(SystemExit, match="different environments"):
+        bench_pairs.main(["--parent", "HEAD", "--workload", "clustered_train", "--pairs", "1",
+                          "--first-seed", "1", "--name", "test", "--workdir", str(tmp_path)])
+    assert not os.path.exists(os.path.join(bench_pairs.ROOT, "BENCH_test.json"))

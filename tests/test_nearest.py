@@ -198,8 +198,9 @@ def mining_case(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     docs = rng.normal(size=(n_docs, d))
     docs /= np.linalg.norm(docs, axis=1, keepdims=True)
-    # Near duplicates of document 0, a float32 epsilon apart: their distances
-    # differ by more than the 1e-18 brute_force_mine treats as a tie.
+    # Near duplicates of document 0, about a float32 epsilon apart. In float64
+    # two of their distances may differ by less than the 1e-18 that
+    # brute_force_mine treats as a tie; exact_mine then has the last word.
     cluster = draw(st.integers(1, n_docs))
     docs[1:cluster] = docs[0] + rng.normal(scale=np.finfo(np.float32).eps, size=(cluster - 1, d))
     for src, dst in draw(st.lists(st.tuples(st.integers(0, n_docs - 1), st.integers(0, n_docs - 1)), max_size=4)):
@@ -224,15 +225,46 @@ def mining_case(draw):
     return list(anchors), positives, batch_docs, gold
 
 
+def exact_mine(anchors, batch_docs, gold):
+    """Per anchor: the first non-gold document of the stable full sort."""
+    cols = {doc_id: i for i, (doc_id, _) in enumerate(batch_docs)}
+    exclude = [cols[gold[a]] for a in range(len(anchors))]
+    docs = np.stack([vec for _, vec in batch_docs])
+    return [picks[0] for picks in oracle(anchors, docs, 1, exclude=exclude)[0]]
+
+
+def has_sub_tolerance_gap(anchors, batch_docs, gold):
+    """Whether two of some anchor's candidate distances differ by (0, 1e-18]."""
+    for a, anchor in enumerate(anchors):
+        dists = np.unique([
+            float(np.sum((anchor - vec) ** 2)) for doc_id, vec in batch_docs if doc_id != gold[a]
+        ])
+        if np.any(np.diff(dists) <= 1e-18):
+            return True
+    return False
+
+
 @settings(max_examples=200, deadline=None)
 @given(mining_case())
 def test_batch_hard_and_full_scan_match_brute_force(case):
     """full_scan differs from batch_hard only in the documents it passes."""
     anchors, positives, batch_docs, gold = case
     got = mine_hard(anchors, positives, batch_docs, gold)
-    assert [t.negative for t in got] == brute_force_mine(anchors, batch_docs, gold)
+    negatives = [t.negative for t in got]
+    assert negatives == exact_mine(anchors, batch_docs, gold)
+    if not has_sub_tolerance_gap(anchors, batch_docs, gold):
+        assert negatives == brute_force_mine(anchors, batch_docs, gold)
     assert [t.positive for t in got] == [int(gold[a][1:]) for a in range(len(anchors))]
     assert [t.anchor for t in got] == list(range(len(anchors)))
+
+
+def test_mining_ranks_distances_closer_than_the_brute_force_tolerance():
+    """Distances 0 and 8.7e-19 apart are not a tie: the exact 0 wins."""
+    anchor = np.array([-1.0])
+    docs = [("gold", anchor.copy()), ("near", np.array([-1.0000000009332621])), ("same", anchor.copy())]
+    got = mine_hard([anchor], [anchor], docs, {0: "gold"})
+    assert 0 < float(np.sum((anchor - docs[1][1]) ** 2)) <= 1e-18
+    assert got[0].negative == 2 == exact_mine([anchor], docs, {0: "gold"})[0]
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,7 +1,7 @@
 """Alternating parent/change benchmark pairs, summarized into a BENCH file.
 
     python3 tools/bench_pairs.py --parent REV --workload NAME --pairs N \\
-        --first-seed S --name TAG [--seconds 30] [--workdir DIR]
+        --first-seed S --name TAG [--workdir DIR]
 
 The change is the checkout this script lives in, as its files stand;
 the parent is REV of the same repository, extracted with ``git archive``
@@ -9,11 +9,17 @@ into a temporary directory (nothing is registered in the repository, so
 an interrupted run leaves no state behind). Pair i runs
 ``perfbench/run.py`` once in each tree with seed S + i, the parent first
 in even pairs and the change first in odd ones, so a drift in the
-machine's speed hits both sides alike.
+machine's speed hits both sides alike. Every run lasts BENCHMARK.json's
+``run_seconds``. The two runs of a pair must print the same environment
+line (Python, numpy, BLAS and its threads, cores, seed, conv backend);
+the script stops if they differ, since the pair would not be
+like-for-like.
 
 The output, ``BENCH_<TAG>.json`` at the root of the checkout, keeps one
 entry per workload; running the script for another workload adds that
-workload and leaves the others as they are. An entry holds every run's
+workload and leaves the others as they are. The file is replaced
+atomically, so an interrupted run leaves the previous file whole. An
+entry holds every run's
 metrics and correct/attempted/failed counts, each side's median and
 quartiles per metric, the change's wins over the parent per metric (a
 tie counts for neither side), and the environment line perfbench printed.
@@ -24,12 +30,14 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import secrets
 import statistics
 import subprocess
 import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+MIN_CLAIM_PAIRS = 10  # fewer pairs than this never make a clear gain
 
 
 def quartiles(values: list[float]) -> dict[str, float]:
@@ -46,8 +54,9 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
     ``runs`` holds one record per pair: ``{"seed", "parent", "change"}``,
     each side with perfbench's ``metrics`` as {name: {"value", "unit"}}.
     ``metrics`` is BENCHMARK.json's ``end_to_end`` list. ``clear_gain``
-    is true when the change wins at least nine pairs in ten and its median
-    beats the parent's by more than the parent's interquartile range.
+    is true when there are at least ten pairs, the change wins at least
+    nine in ten of them, and its median beats the parent's by more than
+    the parent's interquartile range.
     """
     out = {}
     for spec in metrics:
@@ -70,7 +79,11 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
                 sides["change"]["median"] / sides["parent"]["median"]
                 if sides["parent"]["median"] else None
             ),
-            "clear_gain": 10 * wins >= 9 * len(runs) and (gap if higher else -gap) > iqr,
+            "clear_gain": (
+                len(runs) >= MIN_CLAIM_PAIRS
+                and 10 * wins >= 9 * len(runs)
+                and (gap if higher else -gap) > iqr
+            ),
         }
     return out
 
@@ -101,13 +114,31 @@ def extract(rev: str, into: str) -> str:
     return tree
 
 
+def write_atomic(path: str, text: str) -> None:
+    """Replace ``path`` with ``text`` only once all of it is on disk.
+
+    The temp file sits beside ``path``, so the rename stays on one file
+    system; exclusive creation gives it the mode a plain ``open`` would.
+    """
+    tmp = f"{path}.{secrets.token_hex(8)}.tmp"
+    fh = open(tmp, "x", encoding="utf-8")
+    try:
+        with fh:
+            fh.write(text)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="git revision to compare against")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--first-seed", type=int, required=True)
-    parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--name", required=True, help="the output is BENCH_<name>.json")
     parser.add_argument("--workdir", default=None, help="where the parent tree is extracted")
     args = parser.parse_args(argv)
@@ -115,7 +146,8 @@ def main(argv=None) -> int:
         parser.error("--pairs must be at least 1")
 
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
-        metrics = json.load(fh)["end_to_end"]
+        benchmark = json.load(fh)
+    metrics, seconds = benchmark["end_to_end"], benchmark["run_seconds"]
     commit = subprocess.run(
         ["git", "-C", ROOT, "rev-parse", args.parent], capture_output=True, text=True, check=True
     ).stdout.strip()
@@ -128,10 +160,16 @@ def main(argv=None) -> int:
             record = {"seed": seed, "first": order[0]}
             for side in order:
                 tree = parent_tree if side == "parent" else ROOT
-                record[side] = run_side(tree, args.workload, seed, args.seconds)
+                record[side] = run_side(tree, args.workload, seed, seconds)
                 print(f"pair {i + 1}/{args.pairs} seed {seed} {side}: "
                       f"{json.dumps({k: v['value'] for k, v in record[side]['metrics'].items()})}",
                       file=sys.stderr)
+            if record["parent"]["environment"] != record["change"]["environment"]:
+                raise SystemExit(
+                    f"bench_pairs: pair {i + 1} (seed {seed}) ran in different environments:\n"
+                    f"  parent {json.dumps(record['parent']['environment'])}\n"
+                    f"  change {json.dumps(record['change']['environment'])}"
+                )
             runs.append(record)
 
     environment = runs[0]["change"]["environment"]
@@ -142,7 +180,7 @@ def main(argv=None) -> int:
         "parent": commit,
         "pairs": args.pairs,
         "first_seed": args.first_seed,
-        "seconds": args.seconds,
+        "seconds": seconds,
         "environment": environment,
         "summary": summarize(runs, metrics),
         "runs": runs,
@@ -153,9 +191,7 @@ def main(argv=None) -> int:
         with open(out, encoding="utf-8") as fh:
             bench = json.load(fh)
     bench["workloads"][args.workload] = entry
-    with open(out, "w", encoding="utf-8") as fh:
-        json.dump(bench, fh, indent=1)
-        fh.write("\n")
+    write_atomic(out, json.dumps(bench, indent=1) + "\n")
     return 0
 
 
