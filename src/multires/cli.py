@@ -224,10 +224,7 @@ def cmd_index(args) -> int:
     params, _ = read_checkpoint(cfg.checkpoint)
     encoded = encode_texts([compose(d.text) for d in docs], params)
     store = ContextFreeStore(
-        model_id="index",
-        num_layers=1,
-        dim=encoded.shape[1],
-        vectors={d.id: encoded[i][None, :] for i, d in enumerate(docs)},
+        "index", 1, encoded.shape[1], tokens=[d.id for d in docs], rows=encoded[:, None, :]
     )
     write_context_free_store(out_path, store)
     print(f"indexed {len(docs)} documents -> {out_path}")
@@ -243,7 +240,7 @@ def cmd_search(args) -> int:
     compose = _load_composer(cfg.stores, cfg.spec, cfg.idf, docs)
     params, _ = read_checkpoint(cfg.checkpoint)
     stored = read_context_free_store(cfg.index, "index")
-    index = build_index([(doc_id, vec[0]) for doc_id, vec in stored.vectors.items()])
+    index = build_index(list(zip(stored.index, stored.rows[:, 0])))
     vec = encode_texts([compose(args.query)], params)[0]
     for doc_id, dist in search(index, vec, args.k):
         print(f"{doc_id}\t{dist!r}")

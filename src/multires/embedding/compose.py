@@ -13,6 +13,7 @@ import numpy as np
 
 from multires.corpus import IdfTable, lookup_idf
 from multires.embedding.specs import EnsembleSpec, MixtureSpec
+from multires.embedding.stores import ContextFreeStore, ContextualStore
 from multires.errors import EmptyTextError, MissingModelError, NumericalError, ShapeError, SpecError
 
 
@@ -136,30 +137,27 @@ def composed_dim(spec: EnsembleSpec, model_dims: Mapping[str, tuple[int, int]]) 
 
 def compose_text(
     tokens: Sequence[str],
-    stores: Mapping[str, "EmbeddingStore"],
+    stores: Mapping[str, ContextFreeStore | ContextualStore],
     spec: EnsembleSpec,
     idf: IdfTable,
 ) -> np.ndarray:
     """Compose every token into a row of the (k, d'') text matrix.
 
     Each model's rows for the text are gathered into one (k, l, d) stack
-    and composed in a single compose_token call. A token missing from one
-    model's store contributes a zero layer matrix for that model only; a
-    text whose tokens resolve in no store at all is rejected.
+    (``store.gather``) and composed in a single compose_token call. A
+    token missing from one model's store contributes a zero layer matrix
+    for that model only; a text whose tokens resolve in no store at all is
+    rejected.
     """
     layer_sets: dict[str, LayeredTokenEmbedding] = {}
-    any_resolved = False
+    resolved = 0
     for model_id in dict.fromkeys(m.model_id for m in spec.mixtures):
         store = stores.get(model_id)
         if store is None:
             raise MissingModelError(f"no store for model {model_id!r}")
-        layers = np.zeros((len(tokens), store.num_layers, store.dim), dtype=store.dtype)
-        for position, token in enumerate(tokens):
-            row = store.lookup(token, position)
-            if row is not None:
-                layers[position] = row
-                any_resolved = True
+        layers, hits = store.gather(tokens)
+        resolved += hits
         layer_sets[model_id] = LayeredTokenEmbedding(model_id=model_id, layers=layers)
-    if not any_resolved:
+    if not resolved:
         raise EmptyTextError("no token of the text resolves in any embedding store")
     return compose_token(layer_sets, spec, np.array([lookup_idf(idf, t) for t in tokens]))

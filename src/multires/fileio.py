@@ -4,10 +4,17 @@ Every binary file is one frame, little-endian:
     4-byte magic | u16 version | body | u32 CRC32 of every preceding byte
 A format may go on reading older versions that were written without the
 trailer. Each format parses only its body.
+
+``read_frame`` maps the file read-only instead of copying it, so arrays
+built on a body are read-only views of the file's pages. That is safe
+because no writer changes a file in place: every writer here goes
+through ``atomic_write``, which renames a new file over the old one, so
+a mapped file is never truncated or rewritten under a reader.
 """
 
 from __future__ import annotations
 
+import mmap
 import os
 import secrets
 import struct
@@ -65,25 +72,31 @@ def frame(magic: bytes, version: int, body):
 
 
 def read_frame(
-    path: str, magic: bytes, version: int, header: struct.Struct, unchecked: tuple[int, ...] = ()
-) -> tuple[tuple, memoryview]:
-    """Read ``path`` once into one writable buffer; return (``header`` fields, body).
+    path: str,
+    magic: bytes,
+    versions: tuple[int, ...],
+    header: struct.Struct,
+    unchecked: tuple[int, ...] = (),
+) -> tuple[int, tuple, memoryview]:
+    """Map ``path`` read-only; return (version, ``header`` fields, body).
 
-    Checks, in order: the magic; the version (``version``, or an older one
-    in ``unchecked``, written without the trailer); the length and CRC32.
-    Arrays built on the body share the buffer's memory.
+    Checks, in order: the magic; the version (one of ``versions``, or one
+    of ``unchecked``, the older versions written without the trailer);
+    the length and the CRC32 over every byte before the trailer. Arrays
+    built on the body are read-only views of the map, which stays open
+    while any of them lives.
     """
     with open(path, "rb") as fh:
-        buf = bytearray(os.fstat(fh.fileno()).st_size)
-        buf = memoryview(buf)[: fh.readinto(buf)]
+        size = os.fstat(fh.fileno()).st_size
+        if size < _HEAD.size:  # mmap cannot map an empty file
+            raise FormatError(f"truncated file: {size} bytes, no frame head")
+        buf = memoryview(mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ))
     if buf[:4] != magic:
         raise FormatError(f"bad magic {bytes(buf[:4])!r}, expected {magic!r}")
-    if len(buf) < _HEAD.size:
-        raise FormatError("truncated file: no version")
     found = _HEAD.unpack_from(buf)[1]
     end = len(buf)
     if found not in unchecked:
-        if found != version:
+        if found not in versions:
             raise FormatError(f"unsupported version {found}")
         end -= _CRC.size
         if end < _HEAD.size or zlib.crc32(buf[:end]) != _CRC.unpack_from(buf, end)[0]:
@@ -91,7 +104,7 @@ def read_frame(
     body = buf[_HEAD.size : end]
     if len(body) < header.size:
         raise FormatError(f"truncated file: expected a {header.size}-byte header")
-    return header.unpack_from(body), body
+    return found, header.unpack_from(body), body
 
 
 def key_value_lines(fh):

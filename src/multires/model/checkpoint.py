@@ -44,10 +44,11 @@ def write_checkpoint(path: str, params, kind: str) -> None:
 def read_checkpoint(path: str):
     """Returns (params, kind); raises FormatError on any corruption.
 
-    Tensors are copied out of the file buffer: at their unaligned offsets,
-    BLAS would copy each weight again on every forward pass.
+    Tensors are copied out of the file's read-only map, so they are
+    writable; at their unaligned offsets, BLAS would also copy each weight
+    again on every forward pass.
     """
-    (kind_code, depth, window, scale, dim), body = read_frame(path, CRR_MAGIC, _VERSION, _HEAD)
+    _, (kind_code, depth, window, scale, dim), body = read_frame(path, CRR_MAGIC, (_VERSION,), _HEAD)
     if kind_code not in _KIND_NAMES:
         raise FormatError(f"unknown encoder kind code {kind_code}")
     kind = _KIND_NAMES[kind_code]

@@ -1,6 +1,7 @@
 """The pair-run summary of tools/bench_pairs.py, on canned perfbench results."""
 
 import importlib.util
+import json
 import os
 
 import pytest
@@ -93,7 +94,7 @@ def test_write_atomic_keeps_the_old_file_when_writing_fails(tmp_path, monkeypatc
 
 
 def test_a_pair_in_different_environments_stops_the_run(tmp_path, monkeypatch):
-    def fake_run_side(tree, workload, seed, seconds):
+    def fake_run_side(tree, workload, seed, seconds, trace=False):
         record = pair(seed, (6.0, 100.0), (2.0, 500.0))["parent"]
         backend = "numba" if tree == bench_pairs.ROOT else "numpy"
         return {**record, "environment": {"seed": seed, "conv_backend": backend}}
@@ -104,3 +105,65 @@ def test_a_pair_in_different_environments_stops_the_run(tmp_path, monkeypatch):
         bench_pairs.main(["--parent", "HEAD", "--workload", "clustered_train", "--pairs", "1",
                           "--first-seed", "1", "--name", "test", "--workdir", str(tmp_path)])
     assert not os.path.exists(os.path.join(bench_pairs.ROOT, "BENCH_test.json"))
+
+
+_ARGS = ["--parent", "HEAD", "--workload", "index_and_serve", "--first-seed", "5", "--name", "test"]
+with open(os.path.join(bench_pairs.ROOT, "BENCHMARK.json"), encoding="utf-8") as _fh:
+    _END_TO_END = json.load(_fh)["end_to_end"]
+
+
+def fake_side(value, **flaws):
+    """A correct perfbench result with every end-to-end metric at ``value``."""
+    metrics = {m["name"]: {"value": value, "unit": m["unit"]} for m in _END_TO_END}
+    return {"correct": True, "attempted": 3, "failed": 0, "metrics": metrics, **flaws}
+
+
+@pytest.mark.parametrize(
+    "flaw, side", [({"correct": False}, "change"), ({"failed": 2}, "parent")],
+    ids=["incorrect", "failed-operations"],
+)
+def test_a_run_that_failed_its_checks_stops_the_run(flaw, side, tmp_path, monkeypatch):
+    def fake_run_side(tree, workload, seed, seconds, trace=False):
+        this = "change" if tree == bench_pairs.ROOT else "parent"
+        flawed = this == side and seed == 6  # the second pair
+        return {**fake_side(1.0, **(flaw if flawed else {})), "environment": {"seed": seed}}
+
+    monkeypatch.setattr(bench_pairs, "run_side", fake_run_side)
+    monkeypatch.setattr(bench_pairs, "extract", lambda rev, into: str(tmp_path))
+    with pytest.raises(SystemExit, match=rf"pair 2/3 \(seed 6\), {side} run failed its checks"):
+        bench_pairs.main(_ARGS + ["--pairs", "3", "--workdir", str(tmp_path)])
+    assert not os.path.exists(os.path.join(bench_pairs.ROOT, "BENCH_test.json"))
+
+
+def test_a_traced_pair_at_the_first_seed_is_recorded(tmp_path, monkeypatch):
+    calls = []
+
+    def fake_run_side(tree, workload, seed, seconds, trace=False):
+        this = "change" if tree == bench_pairs.ROOT else "parent"
+        calls.append((this, seed, trace))
+        record = fake_side(2.0 if this == "parent" else 1.0)
+        if trace:
+            value = 0.5 if this == "parent" else 0.1
+            record["metrics"] = {"stores.read_s": {"value": value, "unit": "s"}}
+        return {**record, "environment": {"seed": seed}}
+
+    written = {}
+    monkeypatch.setattr(bench_pairs, "run_side", fake_run_side)
+    monkeypatch.setattr(bench_pairs, "extract", lambda rev, into: str(tmp_path))
+    monkeypatch.setattr(bench_pairs, "write_atomic", lambda path, text: written.update({path: text}))
+    assert bench_pairs.main(_ARGS + ["--pairs", "2", "--workdir", str(tmp_path)]) == 0
+    assert calls == [
+        ("parent", 5, False), ("change", 5, False),
+        ("change", 6, False), ("parent", 6, False),
+        ("parent", 5, True), ("change", 5, True),
+    ]
+    (path, text), = written.items()
+    assert path == os.path.join(bench_pairs.ROOT, "BENCH_test.json")
+    entry = json.loads(text)["workloads"]["index_and_serve"]
+    assert [r["seed"] for r in entry["runs"]] == [5, 6]
+    assert entry["summary"]["round_s"]["change_wins"] == 2
+    traced = entry["traced"]
+    assert traced["seed"] == 5 and traced["first"] == "parent"
+    assert traced["parent"]["metrics"] == {"stores.read_s": {"value": 0.5, "unit": "s"}}
+    assert traced["change"]["metrics"] == {"stores.read_s": {"value": 0.1, "unit": "s"}}
+    assert "environment" not in traced["parent"] and entry["environment"] == {"seed": 5}

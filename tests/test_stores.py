@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from multires import fileio
 from multires.embedding.stores import (
     ContextFreeStore,
     ContextualStore,
@@ -11,7 +12,7 @@ from multires.embedding.stores import (
     write_context_free_store,
     write_contextual_store,
 )
-from multires.errors import FormatError
+from multires.errors import FormatError, ShapeError
 
 
 def make_store(rng, vocab=("alpha", "beta", "ümläut"), num_layers=3, dim=4):
@@ -42,17 +43,41 @@ class TestContextFree:
         write_context_free_store(str(p2), store)
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_failed_rewrite_keeps_the_old_store(self, rng, tmp_path):
+    def test_failed_rewrite_keeps_the_old_store(self, rng, tmp_path, monkeypatch):
         path = tmp_path / "s.mre"
         write_context_free_store(str(path), make_store(rng))
         good = path.read_bytes()
-        bad = make_store(rng)
-        bad.vectors["wrong-shape"] = np.zeros((1, 2), np.float32)  # written after good rows
-        with pytest.raises(FormatError, match="layer shape"):
-            write_context_free_store(str(path), bad)
+
+        def broken_fsync(fd):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(fileio.os, "fsync", broken_fsync)
+        with pytest.raises(OSError, match="disk full"):
+            write_context_free_store(str(path), make_store(rng))
         assert path.read_bytes() == good
         read_context_free_store(str(path), "m")
         assert [p.name for p in tmp_path.iterdir()] == ["s.mre"]
+
+    def test_wrong_layer_shape_is_rejected(self, rng):
+        vectors = {"a": np.zeros((3, 4), np.float32), "wrong-shape": np.zeros((1, 2), np.float32)}
+        with pytest.raises(ShapeError, match="layer shape"):
+            ContextFreeStore("m", 3, 4, vectors)
+
+    def test_rows_and_index_hold_the_vectors(self, rng):
+        store = make_store(rng)
+        assert store.rows.shape == (3, 3, 4) and store.rows.dtype == np.float32
+        assert store.index == {"alpha": 0, "beta": 1, "ümläut": 2}
+        assert np.array_equal(store.vectors["beta"], store.rows[1])
+
+    def test_gather_stacks_rows_with_zeros_for_missing_tokens(self, rng):
+        store = make_store(rng)
+        stack, hits = store.gather(["beta", "nope", "alpha", "beta"])
+        assert hits == 3 and stack.shape == (4, 3, 4) and stack.dtype == np.float32
+        assert np.array_equal(stack[[0, 2, 3]], store.rows[[1, 0, 1]])
+        assert not stack[1].any()
+        empty = ContextFreeStore("m", 2, 2)
+        stack, hits = empty.gather(["a"])
+        assert hits == 0 and stack.shape == (1, 2, 2) and not stack.any()
 
     def test_bad_magic_rejected(self, rng, tmp_path):
         path = tmp_path / "s.mre"
@@ -92,6 +117,13 @@ class TestContextual:
         store = ContextualStore(model_id="ctx", text_id=0, layers=layers)
         assert np.array_equal(store.lookup("anything", 1), layers[1])
         assert store.lookup("anything", 3) is None
+
+    @pytest.mark.parametrize("length", [0, 2, 3, 5])
+    def test_gather_takes_positions_and_zeros_past_the_end(self, rng, length):
+        layers = rng.normal(size=(3, 1, 2)).astype(np.float32)
+        stack, hits = ContextualStore("ctx", 0, layers).gather(["w"] * length)
+        assert hits == min(length, 3) and stack.shape == (length, 1, 2)
+        assert np.array_equal(stack[:hits], layers[:hits]) and not stack[hits:].any()
 
     def test_bad_magic_rejected(self, rng, tmp_path):
         path = tmp_path / "t.mrt"

@@ -13,16 +13,22 @@ machine's speed hits both sides alike. Every run lasts BENCHMARK.json's
 ``run_seconds``. The two runs of a pair must print the same environment
 line (Python, numpy, BLAS and its threads, cores, seed, conv backend);
 the script stops if they differ, since the pair would not be
-like-for-like.
+like-for-like. It also stops when a run reports ``correct: false`` or a
+failed operation: the timings of a program that failed its checks are
+not summarized.
+
+After the pairs, one traced pair at seed S (``--trace 1``) records each
+side's per-layer figures under ``traced``, to show in which layer a
+change in the end-to-end figures sits. No claim test runs on them.
 
 The output, ``BENCH_<TAG>.json`` at the root of the checkout, keeps one
 entry per workload; running the script for another workload adds that
 workload and leaves the others as they are. The file is replaced
 atomically, so an interrupted run leaves the previous file whole. An
-entry holds every run's
-metrics and correct/attempted/failed counts, each side's median and
-quartiles per metric, the change's wins over the parent per metric (a
-tie counts for neither side), and the environment line perfbench printed.
+entry holds every run's metrics and correct/attempted/failed counts,
+each side's median and quartiles per metric, the change's wins over the
+parent per metric (a tie counts for neither side), the traced pair, and
+the environment line perfbench printed.
 """
 
 from __future__ import annotations
@@ -88,10 +94,13 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
     return out
 
 
-def run_side(tree: str, workload: str, seed: int, seconds: float) -> dict:
-    """One perfbench run in ``tree``: its last two stdout lines, parsed."""
+def run_side(tree: str, workload: str, seed: int, seconds: float, trace: bool = False) -> dict:
+    """One perfbench run in ``tree``: its last two stdout lines, parsed.
+
+    A traced run's ``metrics`` are the per-layer figures.
+    """
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(int(trace))]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or len(lines) < 2:
@@ -104,6 +113,31 @@ def run_side(tree: str, workload: str, seed: int, seconds: float) -> dict:
         "metrics": result["metrics"],
         "environment": detail.get("environment", {}),
     }
+
+
+def run_pair(parent_tree: str, workload: str, seed: int, seconds: float, label: str,
+             first: str = "parent", trace: bool = False) -> dict:
+    """Run both sides once, ``first`` first; stop on an incorrect run or unlike environments."""
+    order = ["parent", "change"] if first == "parent" else ["change", "parent"]
+    record = {"seed": seed, "first": first}
+    for side in order:
+        run = run_side(parent_tree if side == "parent" else ROOT, workload, seed, seconds, trace)
+        if not run["correct"] or run["failed"]:
+            raise SystemExit(
+                f"bench_pairs: {label} (seed {seed}), {side} run failed its checks: correct"
+                f" {run['correct']}, {run['failed']} of {run['attempted']} operations failed"
+            )
+        record[side] = run
+        print(f"{label} seed {seed} {side}: "
+              f"{json.dumps({k: v['value'] for k, v in run['metrics'].items()})}",
+              file=sys.stderr)
+    if record["parent"]["environment"] != record["change"]["environment"]:
+        raise SystemExit(
+            f"bench_pairs: {label} (seed {seed}) ran in different environments:\n"
+            f"  parent {json.dumps(record['parent']['environment'])}\n"
+            f"  change {json.dumps(record['change']['environment'])}"
+        )
+    return record
 
 
 def extract(rev: str, into: str) -> str:
@@ -153,27 +187,16 @@ def main(argv=None) -> int:
     ).stdout.strip()
     with tempfile.TemporaryDirectory(dir=args.workdir) as tmp:
         parent_tree = extract(commit, tmp)
-        runs = []
-        for i in range(args.pairs):
-            seed = args.first_seed + i
-            order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
-            record = {"seed": seed, "first": order[0]}
-            for side in order:
-                tree = parent_tree if side == "parent" else ROOT
-                record[side] = run_side(tree, args.workload, seed, seconds)
-                print(f"pair {i + 1}/{args.pairs} seed {seed} {side}: "
-                      f"{json.dumps({k: v['value'] for k, v in record[side]['metrics'].items()})}",
-                      file=sys.stderr)
-            if record["parent"]["environment"] != record["change"]["environment"]:
-                raise SystemExit(
-                    f"bench_pairs: pair {i + 1} (seed {seed}) ran in different environments:\n"
-                    f"  parent {json.dumps(record['parent']['environment'])}\n"
-                    f"  change {json.dumps(record['change']['environment'])}"
-                )
-            runs.append(record)
+        runs = [
+            run_pair(parent_tree, args.workload, args.first_seed + i, seconds,
+                     f"pair {i + 1}/{args.pairs}", "parent" if i % 2 == 0 else "change")
+            for i in range(args.pairs)
+        ]
+        traced = run_pair(parent_tree, args.workload, args.first_seed, seconds, "traced pair",
+                          trace=True)
 
     environment = runs[0]["change"]["environment"]
-    for r in runs:
+    for r in runs + [traced]:
         for side in ("parent", "change"):
             r[side].pop("environment")
     entry = {
@@ -184,6 +207,7 @@ def main(argv=None) -> int:
         "environment": environment,
         "summary": summarize(runs, metrics),
         "runs": runs,
+        "traced": traced,
     }
     out = os.path.join(ROOT, f"BENCH_{args.name}.json")
     bench = {"workloads": {}}
