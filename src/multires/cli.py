@@ -70,7 +70,10 @@ def _parse_stores(value: str) -> dict[str, str]:
 
 
 def _parse_ks(value: str) -> list[int]:
-    return sorted({int(part) for part in value.split(",")})
+    ks = sorted({int(part) for part in value.split(",")})
+    if ks[0] < 1:
+        raise ValueError(value)
+    return ks
 
 
 # Run-config key -> (parser, destination). A destination is a RunConfig

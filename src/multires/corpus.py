@@ -141,8 +141,13 @@ def load_corpus(path: str) -> list[Document]:
 
 
 def load_qa_pairs(path: str, corpus: list[Document]) -> list[QaPair]:
-    """Read QA pairs JSONL and validate every positive_doc_id against the corpus."""
+    """Read QA pairs JSONL and validate every positive_doc_id against the corpus.
+
+    A query id may repeat, one line per positive document, but only with
+    the same query text.
+    """
     doc_ids = {doc.id for doc in corpus}
+    texts: dict[str, str] = {}
     pairs: list[QaPair] = []
     with open_text(path) as fh:
         for lineno, obj in _jsonl_objects(fh, ("query_id", "query_text", "positive_doc_id")):
@@ -154,6 +159,10 @@ def load_qa_pairs(path: str, corpus: list[Document]) -> list[QaPair]:
             if pair.positive_doc_id not in doc_ids:
                 raise IntegrityError(
                     f"line {lineno}: positive_doc_id {pair.positive_doc_id!r} not in corpus"
+                )
+            if texts.setdefault(pair.query_id, pair.query_text) != pair.query_text:
+                raise ParseError(
+                    f"query id {pair.query_id!r} repeats with a different query_text", line=lineno
                 )
             pairs.append(pair)
     return pairs

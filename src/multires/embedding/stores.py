@@ -10,14 +10,12 @@ Contextual store "MRT1" (one file per text per model), version 2, body:
     u32 text_id | u32 k | u16 l | u32 d
     then k*l*d float32, token-major then layer-major
 
-Older MRE bodies are still read. Version 2 holds u32 V | u16 l | u32 d,
-then V records of [u32 byte-length | UTF-8 token | l*d float32]; version
-1 is the same body without the CRC32 trailer, as is MRT version 1. Every
-size a header claims is checked against the bytes present before anything
-of that size is allocated. A loaded store is read-only: the rows of a
-version-3 MRE and the layers of an MRT file are views of the mapped file,
-and the rows of an older MRE are a copy marked read-only. Both writers
-replace the file atomically, so a failed write leaves the old one.
+Each format is read only at the version its writer emits; a file of any
+other version raises FormatError. Every size a header claims is checked
+against the bytes present before anything of that size is allocated. A
+loaded store is read-only: the rows of an MRE file and the layers of an
+MRT file are views of the mapped file. Both writers replace the file
+atomically, so a failed write leaves the old one.
 """
 
 from __future__ import annotations
@@ -36,9 +34,7 @@ MRE_MAGIC = b"MRE1"
 MRT_MAGIC = b"MRT1"
 _MRE_VERSION = 3
 _MRT_VERSION = 2
-_U32 = struct.Struct("<I")
-_MRE_HEAD = struct.Struct("<IHI")  # vocab, layers, dim: every MRE version starts so
-_MRE3_HEAD = struct.Struct("<IHII")  # vocab, layers, dim, token-table bytes
+_MRE_HEAD = struct.Struct("<IHII")  # vocab, layers, dim, token-table bytes
 _MRT_HEAD = struct.Struct("<IIHI")  # text id, k, layers, dim
 
 
@@ -166,22 +162,20 @@ def write_context_free_store(path: str, store: ContextFreeStore) -> None:
         raise FormatError(f"token {bad!r} holds NUL, the token table's terminator")
     encoded = table.encode("utf-8")
     rows = np.ascontiguousarray(store.rows, dtype="<f4")
-    head = _MRE3_HEAD.pack(len(store.index), store.num_layers, store.dim, len(encoded))
+    head = _MRE_HEAD.pack(len(store.index), store.num_layers, store.dim, len(encoded))
     body = (head, encoded, memoryview(rows.reshape(-1)))  # no copy of the row block
     with atomic_write(path) as fh:
         fh.writelines(frame(MRE_MAGIC, _MRE_VERSION, body))
 
 
-def _columns(body: memoryview, vocab: int, num_layers: int, dim: int):
-    """Tokens and (V, l, d) rows of a version-3 body."""
-    if len(body) < _MRE3_HEAD.size:
-        raise FormatError(f"truncated file: expected a {_MRE3_HEAD.size}-byte header")
-    start = _MRE3_HEAD.size
-    stop = start + _MRE3_HEAD.unpack_from(body)[3]
+def read_context_free_store(path: str, model_id: str) -> ContextFreeStore:
+    (vocab, num_layers, dim, table), body = read_frame(path, MRE_MAGIC, _MRE_VERSION, _MRE_HEAD)
+    start = _MRE_HEAD.size
+    stop = start + table
     claimed = 4 * vocab * num_layers * dim
     if stop > len(body) or len(body) - stop != claimed:
         raise FormatError(
-            f"truncated file or trailing bytes: header claims a {stop - start}-byte"
+            f"truncated file or trailing bytes: header claims a {table}-byte"
             f" token table and {claimed} bytes of rows"
         )
     try:
@@ -190,41 +184,7 @@ def _columns(body: memoryview, vocab: int, num_layers: int, dim: int):
         raise FormatError(f"token table is not UTF-8 at byte {start + exc.start}") from None
     if tokens.pop() or len(tokens) != vocab:
         raise FormatError(f"token table does not hold {vocab} NUL-terminated tokens")
-    return tokens, np.ndarray((vocab, num_layers, dim), "<f4", body, stop)
-
-
-def _records(body: memoryview, vocab: int, num_layers: int, dim: int):
-    """Tokens and (V, l, d) rows of a version-1 or version-2 body, one record per token."""
-    payload = 4 * num_layers * dim
-    offset, end = _MRE_HEAD.size, len(body)
-    if vocab * (4 + payload) > end - offset:
-        raise FormatError(f"truncated file: {vocab} records need more than {end - offset} bytes")
-    tokens, rows = [], np.empty((vocab, num_layers, dim), "<f4")
-    for i in range(vocab):
-        if offset + 4 > end:
-            raise FormatError("truncated file: expected a token length")
-        start = offset + 4
-        stop = start + _U32.unpack_from(body, offset)[0]
-        offset = stop + payload
-        if offset > end:
-            raise FormatError(f"truncated file: expected {offset - start} bytes for a record")
-        try:
-            tokens.append(str(body[start:stop], "utf-8"))
-        except UnicodeDecodeError:
-            raise FormatError(f"token at byte {start} is not UTF-8") from None
-        rows[i] = np.ndarray((num_layers, dim), "<f4", body, stop)
-    if offset != end:
-        raise FormatError("trailing bytes after final record")
-    rows.flags.writeable = False  # like the mapped rows of version 3
-    return tokens, rows
-
-
-def read_context_free_store(path: str, model_id: str) -> ContextFreeStore:
-    version, (vocab, num_layers, dim), body = read_frame(
-        path, MRE_MAGIC, (2, _MRE_VERSION), _MRE_HEAD, (1,)
-    )
-    parse = _columns if version == _MRE_VERSION else _records
-    tokens, rows = parse(body, vocab, num_layers, dim)
+    rows = np.ndarray((vocab, num_layers, dim), "<f4", body, stop)
     return ContextFreeStore(model_id, num_layers, dim, tokens=tokens, rows=rows)
 
 
@@ -238,9 +198,7 @@ def write_contextual_store(path: str, store: ContextualStore) -> None:
 
 
 def read_contextual_store(path: str, model_id: str) -> ContextualStore:
-    _, (text_id, k, num_layers, dim), body = read_frame(
-        path, MRT_MAGIC, (_MRT_VERSION,), _MRT_HEAD, (1,)
-    )
+    (text_id, k, num_layers, dim), body = read_frame(path, MRT_MAGIC, _MRT_VERSION, _MRT_HEAD)
     claimed = 4 * k * num_layers * dim
     if len(body) - _MRT_HEAD.size != claimed:
         raise FormatError(f"truncated file or trailing bytes: header claims {claimed} bytes")

@@ -2,8 +2,8 @@
 
 Every binary file is one frame, little-endian:
     4-byte magic | u16 version | body | u32 CRC32 of every preceding byte
-A format may go on reading older versions that were written without the
-trailer. Each format parses only its body.
+Each format has one version, the one its writer emits, and a file of any
+other version is refused. Each format parses only its body.
 
 ``read_frame`` maps the file read-only instead of copying it, so arrays
 built on a body are read-only views of the file's pages. That is safe
@@ -72,16 +72,11 @@ def frame(magic: bytes, version: int, body):
 
 
 def read_frame(
-    path: str,
-    magic: bytes,
-    versions: tuple[int, ...],
-    header: struct.Struct,
-    unchecked: tuple[int, ...] = (),
-) -> tuple[int, tuple, memoryview]:
-    """Map ``path`` read-only; return (version, ``header`` fields, body).
+    path: str, magic: bytes, version: int, header: struct.Struct
+) -> tuple[tuple, memoryview]:
+    """Map ``path`` read-only; return (``header`` fields, body).
 
-    Checks, in order: the magic; the version (one of ``versions``, or one
-    of ``unchecked``, the older versions written without the trailer);
+    Checks, in order: the magic; the version, which must be ``version``;
     the length and the CRC32 over every byte before the trailer. Arrays
     built on the body are read-only views of the map, which stays open
     while any of them lives.
@@ -94,17 +89,15 @@ def read_frame(
     if buf[:4] != magic:
         raise FormatError(f"bad magic {bytes(buf[:4])!r}, expected {magic!r}")
     found = _HEAD.unpack_from(buf)[1]
-    end = len(buf)
-    if found not in unchecked:
-        if found not in versions:
-            raise FormatError(f"unsupported version {found}")
-        end -= _CRC.size
-        if end < _HEAD.size or zlib.crc32(buf[:end]) != _CRC.unpack_from(buf, end)[0]:
-            raise FormatError("bad checksum: file truncated or corrupted")
+    if found != version:
+        raise FormatError(f"unsupported version {found} (expected {version})")
+    end = len(buf) - _CRC.size
+    if end < _HEAD.size or zlib.crc32(buf[:end]) != _CRC.unpack_from(buf, end)[0]:
+        raise FormatError("bad checksum: file truncated or corrupted")
     body = buf[_HEAD.size : end]
     if len(body) < header.size:
         raise FormatError(f"truncated file: expected a {header.size}-byte header")
-    return found, header.unpack_from(body), body
+    return header.unpack_from(body), body
 
 
 def key_value_lines(fh):

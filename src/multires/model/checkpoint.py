@@ -22,12 +22,15 @@ _VERSION = 1
 _HEAD = struct.Struct("<BHHfI")  # kind, depth, ws, sf, dim
 _KIND_CODES = {"convrr": 1, "fcrr": 2}
 _KIND_NAMES = {code: name for name, code in _KIND_CODES.items()}
+_KIND_TYPES = {"convrr": ConvRRParams, "fcrr": FCRRParams}
 _RANKS = {"convrr": (3, 1), "fcrr": (2, 1)}  # per block: kernels or weight, bias
 
 
 def serialize_params(params, kind: str) -> bytes:
     if kind not in _KIND_CODES:
         raise FormatError(f"unknown encoder kind {kind!r}")
+    if not isinstance(params, _KIND_TYPES[kind]):
+        raise FormatError(f"{type(params).__name__} cannot be written as kind {kind!r}")
     body = [_HEAD.pack(_KIND_CODES[kind], params.depth, params.window, params.scale, params.dim)]
     for tensor in params.tensors():
         body.append(struct.pack(f"<B{tensor.ndim}I", tensor.ndim, *tensor.shape))
@@ -48,7 +51,7 @@ def read_checkpoint(path: str):
     writable; at their unaligned offsets, BLAS would also copy each weight
     again on every forward pass.
     """
-    _, (kind_code, depth, window, scale, dim), body = read_frame(path, CRR_MAGIC, (_VERSION,), _HEAD)
+    (kind_code, depth, window, scale, dim), body = read_frame(path, CRR_MAGIC, _VERSION, _HEAD)
     if kind_code not in _KIND_NAMES:
         raise FormatError(f"unknown encoder kind code {kind_code}")
     kind = _KIND_NAMES[kind_code]

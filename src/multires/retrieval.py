@@ -98,6 +98,8 @@ def recall_at_k(
     rankings: Mapping[str, Sequence[str]], gold: Mapping[str, str], k: int
 ) -> float:
     """Fraction of queries whose gold document appears in their top-k."""
+    if k < 1:
+        raise ShapeError(f"k must be >= 1, got {k}")
     if not rankings:
         raise IntegrityError("no query rankings to evaluate")
     hits = 0
@@ -127,6 +129,8 @@ def evaluate(
     if not ks:
         raise IntegrityError("no k values requested")
     ks = sorted(set(int(k) for k in ks))
+    if ks[0] < 1:
+        raise ShapeError(f"k must be >= 1, got {ks[0]}")
     doc_ids = [doc_id for doc_id, _ in docs]
     index = build_index(list(zip(doc_ids, _encode_all([m for _, m in docs], params))))
     query_vecs = _encode_all([m for _, m in queries], params)

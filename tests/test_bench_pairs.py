@@ -167,3 +167,15 @@ def test_a_traced_pair_at_the_first_seed_is_recorded(tmp_path, monkeypatch):
     assert traced["parent"]["metrics"] == {"stores.read_s": {"value": 0.5, "unit": "s"}}
     assert traced["change"]["metrics"] == {"stores.read_s": {"value": 0.1, "unit": "s"}}
     assert "environment" not in traced["parent"] and entry["environment"] == {"seed": 5}
+
+
+def test_an_unknown_parent_revision_stops_the_run_in_one_line(tmp_path, monkeypatch):
+    def no_extract(rev, into):
+        raise AssertionError("nothing is extracted for an unknown revision")
+
+    monkeypatch.setattr(bench_pairs, "extract", no_extract)
+    args = _ARGS[2:] + ["--parent", "no-such-revision-0f1e", "--pairs", "1"]
+    with pytest.raises(SystemExit) as stop:
+        bench_pairs.main(args + ["--workdir", str(tmp_path)])
+    assert str(stop.value.code) == "bench_pairs: unknown revision 'no-such-revision-0f1e'"
+    assert not os.path.exists(os.path.join(bench_pairs.ROOT, "BENCH_test.json"))

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import struct
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -232,10 +233,11 @@ class TestRunConfigKeys:
         assert main(["eval", "--config", str(ws["config"]), "--k", "1"]) == 0
         assert set(json.loads(ws["report"].read_text())["recall"]) == {"1"}
 
-    def test_eval_bad_k_flag_exit_2(self, cli_workspace, capsys):
+    @pytest.mark.parametrize("value", ["x", "-1,0,1"])
+    def test_eval_bad_k_flag_exit_2(self, cli_workspace, capsys, value):
         ws = cli_workspace
-        assert main(["eval", "--config", str(ws["config"]), "--k", "x"]) == 2
-        assert "bad value 'x' for key 'k'" in capsys.readouterr().err
+        assert main(["eval", "--config", str(ws["config"]), f"--k={value}"]) == 2
+        assert f"bad value {value!r} for key 'k'" in capsys.readouterr().err
 
 
 class TestIndexSearch:
@@ -294,8 +296,9 @@ class TestInputErrors:
         assert "c.jsonl is not valid UTF-8" in capsys.readouterr().err
 
     def test_store_token_not_utf8_exit_2(self, cli_workspace, capsys):
-        body = struct.pack("<IHII", 1, 2, 4, 1) + b"\xff" + np.zeros(8, "<f4").tobytes()
-        cli_workspace["store"].write_bytes(b"MRE1" + struct.pack("<H", 1) + body)
+        body = struct.pack("<IHII", 1, 2, 4, 2) + b"\xff\0" + np.zeros(8, "<f4").tobytes()
+        framed = b"MRE1" + struct.pack("<H", 3) + body
+        cli_workspace["store"].write_bytes(framed + struct.pack("<I", zlib.crc32(framed)))
         assert main(["train", "--config", str(cli_workspace["config"])]) == 2
         assert "is not UTF-8" in capsys.readouterr().err
 
@@ -339,22 +342,17 @@ def test_failed_text_write_keeps_the_previous_file(cli_workspace, monkeypatch, o
 
 
 class TestIndexFiles:
-    def test_search_answers_from_a_v1_index(self, cli_workspace, capsys):
+    def test_search_on_a_v1_index_exit_2(self, cli_workspace, capsys):
         ws = cli_workspace
-        v1 = Path(__file__).parent / "data" / "v1_index.mre"
-        v2 = ws["dir"] / "v2_index.mre"
-        write_context_free_store(str(v2), read_context_free_store(str(v1), "index"))
         assert main(["train", "--config", str(ws["config"])]) == 0
-        outputs = []
-        for index in (v1, v2):
-            config = ws["dir"] / f"{index.stem}.cfg"
-            config.write_text(ws["config"].read_text() + f"index={index}\n")
-            capsys.readouterr()
-            assert main(["search", "--config", str(config), "item2 tag2"]) == 0
-            outputs.append(capsys.readouterr().out)
-        assert "doc2\t" in outputs[0]
-        assert len(outputs[0].splitlines()) == 5
-        assert outputs[0] == outputs[1]
+        config = ws["dir"] / "v1.cfg"
+        v1 = Path(__file__).parent / "data" / "v1_index.mre"
+        config.write_text(ws["config"].read_text() + f"index={v1}\n")
+        capsys.readouterr()
+        assert main(["search", "--config", str(config), "item2 tag2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unsupported version 1 (expected 3)" in captured.err
 
     def test_search_on_a_flipped_index_byte_exit_2(self, cli_workspace, capsys):
         ws = cli_workspace

@@ -166,6 +166,19 @@ class TestLoaders:
             load(str(path))
         assert err.value.line == 2
 
+    def test_repeated_query_id_needs_the_same_text(self, tmp_path):
+        path = tmp_path / "p.jsonl"
+        line = '{"query_id": "q1", "query_text": "%s", "positive_doc_id": "%s"}\n'
+        docs = [Document("d1", "x"), Document("d2", "y")]
+        path.write_text(line % ("hi", "d1") + line % ("hi", "d2"))  # two positives for q1
+        pairs = load_qa_pairs(str(path), docs)
+        assert [(p.query_id, p.positive_doc_id) for p in pairs] == [("q1", "d1"), ("q1", "d2")]
+
+        path.write_text(line % ("hi", "d1") + line % ("yo", "d2"))
+        with pytest.raises(ParseError, match="'q1' repeats with a different query_text") as err:
+            load_qa_pairs(str(path), docs)
+        assert err.value.line == 2
+
     def test_dangling_doc_id_names_it(self, tmp_path):
         path = tmp_path / "p.jsonl"
         path.write_text('{"query_id": "q1", "query_text": "hi", "positive_doc_id": "ghost"}\n')

@@ -1,4 +1,4 @@
-"""The frame every binary file shares: checksums, crafted headers, every store version."""
+"""The frame every binary file shares: checksums, crafted headers, one version per format."""
 
 import struct
 import tracemalloc
@@ -10,9 +10,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from multires.cli import main
-from multires.corpus import Document, build_idf
-from multires.embedding.compose import compose_text
-from multires.embedding.specs import EnsembleSpec, MixtureSpec
 from multires.embedding.stores import (
     ContextFreeStore,
     ContextualStore,
@@ -39,22 +36,27 @@ def _read_crr(path):
     return read_checkpoint(str(path))
 
 
-@pytest.fixture(params=["mre", "mrt", "crr", "cli-index"])
-def small_file(request, tmp_path, cli_workspace):
-    """(path, reader) of one small version-2 MRE, MRT, CRR or CLI-written index file."""
+def _write_small(kind, path):
+    """Write one small current-version MRE, MRT or CRR file at ``path``; return its reader."""
     gen = np.random.default_rng(3)
-    path = tmp_path / f"small.{request.param}"
-    if request.param == "mre":
+    if kind == "mre":
         vectors = {t: gen.normal(size=(1, 2)).astype(np.float32) for t in ("a", "ü")}
         write_context_free_store(str(path), ContextFreeStore("m", 1, 2, vectors))
-        return path, _read_mre
-    if request.param == "mrt":
+        return _read_mre
+    if kind == "mrt":
         layers = gen.normal(size=(2, 1, 2)).astype(np.float32)
         write_contextual_store(str(path), ContextualStore("c", 4, layers))
-        return path, _read_mrt
-    if request.param == "crr":
-        write_checkpoint(str(path), init_convrr_params(2, depth=1, window=1, rng=gen), "convrr")
-        return path, _read_crr
+        return _read_mrt
+    write_checkpoint(str(path), init_convrr_params(2, depth=1, window=1, rng=gen), "convrr")
+    return _read_crr
+
+
+@pytest.fixture(params=["mre", "mrt", "crr", "cli-index"])
+def small_file(request, tmp_path, cli_workspace):
+    """(path, reader) of one small MRE, MRT, CRR or CLI-written index file."""
+    path = tmp_path / f"small.{request.param}"
+    if request.param != "cli-index":
+        return path, _write_small(request.param, path)
     assert main(["train", "--config", str(cli_workspace["config"])]) == 0
     assert main(["index", "--config", str(cli_workspace["config"]), "--out", str(path)]) == 0
     return path, _read_mre
@@ -81,33 +83,15 @@ class TestCorruption:
             with pytest.raises(FormatError):
                 read(cut)
 
-    @pytest.mark.parametrize(
-        "name, read",
-        [("v1_store.mre", _read_mre), ("v1_index.mre", _read_mre), ("v1_text.mrt", _read_mrt)],
-    )
-    def test_every_proper_prefix_of_a_v1_file_is_rejected(self, name, read, tmp_path):
-        blob = (DATA / name).read_bytes()
-        cut = tmp_path / name
-        for length in range(len(blob)):
-            cut.write_bytes(blob[:length])
-            with pytest.raises(FormatError):
-                read(cut)
 
-
-def _v1(magic, body):
-    return magic + struct.pack("<H", 1) + body
-
-
-def _v2(magic, body, version=2):
+def _framed(magic, version, body):
+    """A frame with a valid checksum, whatever the body holds."""
     framed = magic + struct.pack("<H", version) + body
     return framed + struct.pack("<I", zlib.crc32(framed))
 
 
 _HUGE_MRT = struct.pack("<IIHI", 0, 2**20, 2**10, 2**12)  # 2^42 floats claimed
-_HUGE_TOKEN = struct.pack("<IHII", 1, 1, 1, 0xFFFFFFF0) + b"abc"
-_NON_UTF8_TOKEN = struct.pack("<IHII", 1, 1, 1, 1) + b"\xff" + struct.pack("<f", 1.0)
 _HUGE_TENSOR = struct.pack("<BHHfI", 1, 1, 1, 0.05, 2**16) + struct.pack("<B3I", 3, 2**16, 1, 2**16)
-_MANY_RECORDS = struct.pack("<IHI", 2**22, 1, 16) + b"\0" * 68  # 256 MB of rows claimed
 _HUGE_VOCAB = struct.pack("<IHII", 2**31, 2**10, 2**12, 2) + b"a\0"  # 2^53 floats claimed
 _HUGE_TABLE = struct.pack("<IHII", 1, 1, 1, 0xFFFFFFF0) + b"a\0" + struct.pack("<f", 1.0)
 _NON_UTF8_TABLE = struct.pack("<IHII", 1, 1, 1, 2) + b"\xff\0" + struct.pack("<f", 1.0)
@@ -116,21 +100,14 @@ _NON_UTF8_TABLE = struct.pack("<IHII", 1, 1, 1, 2) + b"\xff\0" + struct.pack("<f
 @pytest.mark.parametrize(
     "blob, read",
     [
-        (_v1(b"MRT1", _HUGE_MRT), _read_mrt),
-        (_v2(b"MRT1", _HUGE_MRT), _read_mrt),
-        (_v1(b"MRE1", _HUGE_TOKEN), _read_mre),
-        (_v2(b"MRE1", _HUGE_TOKEN), _read_mre),
-        (_v1(b"MRE1", _NON_UTF8_TOKEN), _read_mre),
-        (_v2(b"MRE1", _NON_UTF8_TOKEN), _read_mre),
-        (_v2(b"MRE1", _MANY_RECORDS), _read_mre),
-        (_v2(b"MRE1", _HUGE_VOCAB, version=3), _read_mre),
-        (_v2(b"MRE1", _HUGE_TABLE, version=3), _read_mre),
-        (_v2(b"MRE1", _NON_UTF8_TABLE, version=3), _read_mre),
-        (_v2(b"CRR1", _HUGE_TENSOR, version=1), _read_crr),
+        (_framed(b"MRT1", 2, _HUGE_MRT), _read_mrt),
+        (_framed(b"MRE1", 3, _HUGE_VOCAB), _read_mre),
+        (_framed(b"MRE1", 3, _HUGE_TABLE), _read_mre),
+        (_framed(b"MRE1", 3, _NON_UTF8_TABLE), _read_mre),
+        (_framed(b"CRR1", 1, _HUGE_TENSOR), _read_crr),
     ],
-    ids=["mrt-v1-payload", "mrt-v2-payload", "mre-v1-token-length", "mre-v2-token-length",
-         "mre-v1-non-utf8-token", "mre-v2-non-utf8-token", "mre-v2-vocab", "mre-v3-vocab",
-         "mre-v3-table-length", "mre-v3-non-utf8-table", "crr-tensor-dims"],
+    ids=["mrt-v2-payload", "mre-v3-vocab", "mre-v3-table-length", "mre-v3-non-utf8-table",
+         "crr-tensor-dims"],
 )
 def test_crafted_header_is_rejected_without_allocating(blob, read, tmp_path):
     path = tmp_path / "crafted"
@@ -145,75 +122,63 @@ def test_crafted_header_is_rejected_without_allocating(blob, read, tmp_path):
     assert peak < 1 << 20
 
 
-class TestVersion1Files:
-    """The fixtures under tests/data were written by the version-1 writers."""
-
-    def test_v1_store_loads_the_values_written(self):
-        gen = np.random.default_rng(7)
-        expected = {t: gen.normal(size=(2, 3)).astype(np.float32) for t in ("alpha", "ümläut")}
-        store = _read_mre(DATA / "v1_store.mre")
-        assert (store.num_layers, store.dim) == (2, 3)
-        assert list(store.vectors) == list(expected)
-        for token, layers in expected.items():
-            assert np.array_equal(store.vectors[token], layers)
-
-    def test_v1_text_loads_the_values_written(self):
-        gen = np.random.default_rng(7)
-        gen.normal(size=(2, 2, 3))  # the draws of v1_store.mre
-        text = _read_mrt(DATA / "v1_text.mrt")
-        assert text.text_id == 7
-        assert np.array_equal(text.layers, gen.normal(size=(3, 2, 2)).astype(np.float32))
-
-    def test_v2_rewrite_is_the_v1_body_plus_a_trailer(self, tmp_path):
-        v1 = (DATA / "v1_text.mrt").read_bytes()
-        path = tmp_path / "v1_text.mrt"
-        write_contextual_store(str(path), _read_mrt(DATA / "v1_text.mrt"))
-        v2 = path.read_bytes()
-        assert v1[4:6] == struct.pack("<H", 1) and v2[4:6] == struct.pack("<H", 2)
-        assert v2[:4] == v1[:4]
-        assert v2[6:-4] == v1[6:]
+def _unsupported(found, expected):
+    return rf"unsupported version {found} \(expected {expected}\)"
 
 
-def _rows_bits(store):
-    return [(token, store.vectors[token].tobytes()) for token in store.vectors]
+class TestOtherVersions:
+    """Each format reads only the version its writer emits: MRE 3, MRT 2, CRR 1.
 
-
-class TestStoreVersions:
-    """The fixtures under tests/data hold one store and one index, as version 1 and version 2."""
-
-    @pytest.mark.parametrize("name", ["store", "index"])
-    def test_v1_v2_and_v3_copies_are_one_store(self, name, tmp_path):
-        v3 = tmp_path / f"v3_{name}.mre"
-        write_context_free_store(str(v3), _read_mre(DATA / f"v2_{name}.mre"))
-        assert v3.read_bytes()[4:6] == struct.pack("<H", 3)
-        copies = [_read_mre(p) for p in (DATA / f"v1_{name}.mre", DATA / f"v2_{name}.mre", v3)]
-        assert len({(s.num_layers, s.dim) for s in copies}) == 1
-        assert _rows_bits(copies[0]) == _rows_bits(copies[1]) == _rows_bits(copies[2])
-
-        tokens = list(copies[0].vectors)
-        docs = [Document(str(i), " ".join(tokens[: i + 1])) for i in range(len(tokens))]
-        idf = build_idf(docs)
-        num_layers = copies[0].num_layers
-        spec = EnsembleSpec.normalized(
-            (MixtureSpec("m", (1.0 / num_layers,) * num_layers, "concatenate", use_idf=True),),
-            (1.0,),
-            "concatenate",
-        )
-        text = tokens[::-1] + ["unseen"] + tokens
-        composed = [compose_text(text, {"m": s}, spec, idf).tobytes() for s in copies]
-        assert composed[0] == composed[1] == composed[2]
+    The fixtures under tests/data were written by the earlier MRE (1, 2)
+    and MRT (1) writers, which version 1 wrote without a checksum.
+    """
 
     @pytest.mark.parametrize(
-        "name", ["v1_store.mre", "v1_index.mre", "v2_store.mre", "v2_index.mre"]
+        "name, read, found, expected",
+        [
+            ("v1_store.mre", _read_mre, 1, 3),
+            ("v1_index.mre", _read_mre, 1, 3),
+            ("v2_store.mre", _read_mre, 2, 3),
+            ("v2_index.mre", _read_mre, 2, 3),
+            ("v1_text.mrt", _read_mrt, 1, 2),
+        ],
     )
-    def test_rewrite_as_v3_keeps_tokens_and_rows(self, name, tmp_path):
-        old = _read_mre(DATA / name)
-        path = tmp_path / name
-        write_context_free_store(str(path), old)
-        new = _read_mre(path)
-        assert path.read_bytes()[4:6] == struct.pack("<H", 3)
-        assert (new.num_layers, new.dim) == (old.num_layers, old.dim)
-        assert _rows_bits(new) == _rows_bits(old)
+    def test_old_fixture_is_rejected(self, name, read, found, expected):
+        with pytest.raises(FormatError, match=_unsupported(found, expected)):
+            read(DATA / name)
+
+    @pytest.mark.parametrize(
+        "kind, found, expected",
+        [("mre", 4, 3), ("mrt", 1, 2), ("mrt", 3, 2), ("crr", 0, 1), ("crr", 2, 1)],
+    )
+    def test_checksummed_frame_of_another_version_is_rejected(
+        self, kind, found, expected, tmp_path
+    ):
+        path = tmp_path / f"small.{kind}"
+        read = _write_small(kind, path)
+        blob = path.read_bytes()
+        path.write_bytes(_framed(blob[:4], found, blob[6:-4]))
+        with pytest.raises(FormatError, match=_unsupported(found, expected)):
+            read(path)
+
+    def test_flipped_byte_of_a_v1_index_is_rejected(self, tmp_path):
+        blob = bytearray((DATA / "v1_index.mre").read_bytes())
+        blob[100] ^= 0x01
+        path = tmp_path / "v1_index.mre"
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="unsupported version 1"):
+            _read_mre(path)
+
+
+def test_mrt_body_is_head_then_layers_as_version_1_wrote_it(tmp_path):
+    gen = np.random.default_rng(7)
+    gen.normal(size=(2, 2, 3))  # the draws of v1_store.mre
+    layers = gen.normal(size=(3, 2, 2)).astype(np.float32)  # those of v1_text.mrt
+    path = tmp_path / "t.mrt"
+    write_contextual_store(str(path), ContextualStore("c", 7, layers))
+    head = struct.pack("<IIHI", 7, 3, 2, 2)
+    assert path.read_bytes() == _framed(b"MRT1", 2, head + layers.astype("<f4").tobytes())
+    assert path.read_bytes()[6:-4] == (DATA / "v1_text.mrt").read_bytes()[6:]
 
 
 def _v3_store_blob(tokens, rows, vocab=None):
@@ -221,7 +186,7 @@ def _v3_store_blob(tokens, rows, vocab=None):
     table = b"".join(t + b"\0" for t in tokens)
     num = len(tokens) if vocab is None else vocab
     head = struct.pack("<IHII", num, rows.shape[1], rows.shape[2], len(table))
-    return _v2(b"MRE1", head + table + rows.astype("<f4").tobytes(), version=3)
+    return _framed(b"MRE1", 3, head + table + rows.astype("<f4").tobytes())
 
 
 class TestVersion3Store:
@@ -270,13 +235,13 @@ class TestVersion3Store:
     def test_unterminated_table_is_rejected(self, tmp_path):
         head = struct.pack("<IHII", 1, 1, 1, 1)
         path = tmp_path / "s.mre"
-        path.write_bytes(_v2(b"MRE1", head + b"a" + struct.pack("<f", 1.0), version=3))
+        path.write_bytes(_framed(b"MRE1", 3, head + b"a" + struct.pack("<f", 1.0)))
         with pytest.raises(FormatError, match="NUL-terminated tokens"):
             _read_mre(path)
 
     def test_trailing_bytes_are_rejected(self, tmp_path):
         path, blob = self._written(tmp_path)
-        path.write_bytes(_v2(b"MRE1", blob[6:-4] + b"\0\0\0\0", version=3))
+        path.write_bytes(_framed(b"MRE1", 3, blob[6:-4] + b"\0\0\0\0"))
         with pytest.raises(FormatError, match="trailing bytes"):
             _read_mre(path)
 
@@ -317,18 +282,19 @@ class TestVersion3Store:
 
 
 class TestReadOnlyBodies:
-    @pytest.mark.parametrize("version", [1, 2, 3])
-    def test_loaded_store_rows_reject_writes(self, version, tmp_path):
+    def test_loaded_store_rows_reject_writes(self, tmp_path):
         path = tmp_path / "s.mre"
-        write_context_free_store(str(path), _read_mre(DATA / "v2_store.mre"))
-        store = _read_mre(path if version == 3 else DATA / f"v{version}_store.mre")
+        vectors = {"alpha": np.zeros((2, 3)), "beta": np.ones((2, 3))}
+        write_context_free_store(str(path), ContextFreeStore("m", 2, 3, vectors))
+        store = _read_mre(path)
         with pytest.raises(ValueError, match="read-only"):
             store.rows[0, 0, 0] = 1.0
         with pytest.raises(ValueError, match="read-only"):
             store.vectors["alpha"][0] = 1.0
 
-    def test_loaded_contextual_layers_reject_writes(self):
-        text = _read_mrt(DATA / "v1_text.mrt")
+    def test_loaded_contextual_layers_reject_writes(self, tmp_path):
+        path = tmp_path / "t.mrt"
+        text = _write_small("mrt", path)(path)
         with pytest.raises(ValueError, match="read-only"):
             text.layers[0, 0, 0] = 1.0
 

@@ -27,7 +27,7 @@ from multires.errors import (
     ShapeError,
     SpecError,
 )
-from multires.model import read_checkpoint, serialize_params
+from multires.model import read_checkpoint, serialize_params, write_checkpoint
 from multires.model.encoder import (
     ConvBlock,
     ConvRRParams,
@@ -37,7 +37,7 @@ from multires.model.encoder import (
     init_fcrr_params,
 )
 from multires.model.train import TrainConfig, train
-from multires.retrieval import build_index, recall_at_k, search
+from multires.retrieval import build_index, evaluate, recall_at_k, search
 
 
 class TestSpecFileValidation:
@@ -202,6 +202,13 @@ class TestRetrievalValidation:
         with pytest.raises(IntegrityError):
             recall_at_k({}, {}, 1)
 
+    def test_recall_and_evaluate_reject_k_below_1(self):
+        with pytest.raises(ShapeError, match="k must be >= 1, got -1"):
+            recall_at_k({"q": ["d", "e"]}, {"q": "e"}, -1)
+        docs = [("d", np.ones((1, 2), np.float32))]
+        with pytest.raises(ShapeError, match="k must be >= 1, got -1"):
+            evaluate(None, [("q", docs[0][1])], docs, [-1, 1], {"q": "d"})
+
 
 class TestFormatVersions:
     def test_store_unsupported_version(self, tmp_path, rng):
@@ -231,6 +238,22 @@ class TestFormatVersions:
     def test_serialize_unknown_kind(self, rng):
         with pytest.raises(FormatError):
             serialize_params(init_fcrr_params(3, rng=rng), "mlp")
+
+    @pytest.mark.parametrize(
+        "init, kind, other",
+        [(init_fcrr_params, "convrr", "fcrr"), (init_convrr_params, "fcrr", "convrr")],
+    )
+    def test_kind_that_does_not_match_the_params_keeps_the_old_checkpoint(
+        self, tmp_path, rng, init, kind, other
+    ):
+        params = init(4, rng=rng)
+        path = tmp_path / "m.crr"
+        write_checkpoint(str(path), params, other)
+        before = path.read_bytes()
+        with pytest.raises(FormatError, match=f"cannot be written as kind {kind!r}"):
+            write_checkpoint(str(path), params, kind)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["m.crr"]
 
 
 class TestRunConfigValidation:

@@ -182,9 +182,13 @@ def main(argv=None) -> int:
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         benchmark = json.load(fh)
     metrics, seconds = benchmark["end_to_end"], benchmark["run_seconds"]
-    commit = subprocess.run(
-        ["git", "-C", ROOT, "rev-parse", args.parent], capture_output=True, text=True, check=True
-    ).stdout.strip()
+    rev_parse = subprocess.run(
+        ["git", "-C", ROOT, "rev-parse", "--verify", "--quiet", f"{args.parent}^{{commit}}"],
+        capture_output=True, text=True,
+    )
+    if rev_parse.returncode != 0:
+        raise SystemExit(f"bench_pairs: unknown revision {args.parent!r}")
+    commit = rev_parse.stdout.strip()
     with tempfile.TemporaryDirectory(dir=args.workdir) as tmp:
         parent_tree = extract(commit, tmp)
         runs = [
