@@ -10,6 +10,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from multires.cli import main
+from multires.corpus import Document, build_idf
+from multires.embedding.compose import compose_text
+from multires.embedding.specs import EnsembleSpec, MixtureSpec
 from multires.embedding.stores import (
     ContextFreeStore,
     ContextualStore,
@@ -279,6 +282,52 @@ class TestVersion3Store:
         loaded = _read_mre(path)
         assert list(loaded.vectors) == tokens
         assert loaded.rows.tobytes() == rows.tobytes()
+
+
+@pytest.fixture(params=["store", "index"])
+def written_mre(request, tmp_path, cli_workspace):
+    """Path of a pretrained store or of a CLI-written index, both current-version MRE."""
+    if request.param == "store":
+        return tmp_path / "toy.mre"
+    path = tmp_path / "index.mre"
+    assert main(["train", "--config", str(cli_workspace["config"])]) == 0
+    assert main(["index", "--config", str(cli_workspace["config"]), "--out", str(path)]) == 0
+    return path
+
+
+def _rows_bits(store):
+    return [(token, store.vectors[token].tobytes()) for token in store.vectors]
+
+
+class TestLoadedStores:
+    """A store read back, with its mapped read-only rows, acts as the store written."""
+
+    def test_rewrite_of_a_loaded_store_keeps_its_bytes(self, written_mre, tmp_path):
+        loaded = _read_mre(written_mre)
+        path = tmp_path / "rewritten.mre"
+        write_context_free_store(str(path), loaded)
+        assert path.read_bytes() == written_mre.read_bytes()
+        rewritten = _read_mre(path)
+        assert (rewritten.num_layers, rewritten.dim) == (loaded.num_layers, loaded.dim)
+        assert _rows_bits(rewritten) == _rows_bits(loaded)
+
+    def test_loaded_and_owned_rows_compose_alike(self, written_mre):
+        loaded = _read_mre(written_mre)
+        owned = ContextFreeStore(
+            "m", loaded.num_layers, loaded.dim, {t: np.array(v) for t, v in loaded.vectors.items()}
+        )
+        tokens = list(loaded.vectors)
+        docs = [Document(str(i), " ".join(tokens[: i + 1])) for i in range(len(tokens))]
+        idf = build_idf(docs)
+        num_layers = loaded.num_layers
+        spec = EnsembleSpec.normalized(
+            (MixtureSpec("m", (1.0 / num_layers,) * num_layers, "concatenate", use_idf=True),),
+            (1.0,),
+            "concatenate",
+        )
+        text = tokens[::-1] + ["unseen"] + tokens
+        composed = [compose_text(text, {"m": s}, spec, idf).tobytes() for s in (loaded, owned)]
+        assert composed[0] == composed[1]
 
 
 class TestReadOnlyBodies:
