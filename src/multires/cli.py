@@ -224,8 +224,10 @@ def cmd_index(args) -> int:
         raise ParseError("no index output path (--out or 'index' config key)")
     docs = corpus_mod.load_corpus(cfg.corpus)
     compose = _load_composer(cfg.stores, cfg.spec, cfg.idf, docs)
+    doc_matrices = [compose(d.text) for d in docs]
+    del compose  # frees the stores before encoding
     params, _ = read_checkpoint(cfg.checkpoint)
-    encoded = encode_texts([compose(d.text) for d in docs], params)
+    encoded = encode_texts(doc_matrices, params)
     store = ContextFreeStore(
         "index", 1, encoded.shape[1], tokens=[d.id for d in docs], rows=encoded[:, None, :]
     )

@@ -12,9 +12,10 @@ Contextual store "MRT1" (one file per text per model), version 2, body:
 
 Each format is read only at the version its writer emits; a file of any
 other version raises FormatError. Every size a header claims is checked
-against the bytes present before anything of that size is allocated. A
-loaded store is read-only: the rows of an MRE file and the layers of an
-MRT file are views of the mapped file. Both writers replace the file
+against the bytes present before anything of that size is allocated, and
+every FormatError a reader raises starts with the file's path. A loaded
+store is read-only: the rows of an MRE file and the layers of an MRT
+file are views of the mapped file. Both writers replace the file
 atomically, so a failed write leaves the old one.
 """
 
@@ -28,7 +29,7 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from multires.errors import FormatError, ShapeError
-from multires.fileio import atomic_write, frame, read_frame
+from multires.fileio import atomic_write, frame, names_file, read_frame
 
 MRE_MAGIC = b"MRE1"
 MRT_MAGIC = b"MRT1"
@@ -168,6 +169,7 @@ def write_context_free_store(path: str, store: ContextFreeStore) -> None:
         fh.writelines(frame(MRE_MAGIC, _MRE_VERSION, body))
 
 
+@names_file
 def read_context_free_store(path: str, model_id: str) -> ContextFreeStore:
     (vocab, num_layers, dim, table), body = read_frame(path, MRE_MAGIC, _MRE_VERSION, _MRE_HEAD)
     start = _MRE_HEAD.size
@@ -197,6 +199,7 @@ def write_contextual_store(path: str, store: ContextualStore) -> None:
         fh.writelines(frame(MRT_MAGIC, _MRT_VERSION, (head, store.layers.astype("<f4").tobytes())))
 
 
+@names_file
 def read_contextual_store(path: str, model_id: str) -> ContextualStore:
     (text_id, k, num_layers, dim), body = read_frame(path, MRT_MAGIC, _MRT_VERSION, _MRT_HEAD)
     claimed = 4 * k * num_layers * dim

@@ -10,10 +10,14 @@ built on a body are read-only views of the file's pages. That is safe
 because no writer changes a file in place: every writer here goes
 through ``atomic_write``, which renames a new file over the old one, so
 a mapped file is never truncated or rewritten under a reader.
+
+Every reader is decorated with ``names_file``, so a FormatError, from the
+frame or from a format's body checks, starts with the path of the file.
 """
 
 from __future__ import annotations
 
+import functools
 import mmap
 import os
 import secrets
@@ -98,6 +102,19 @@ def read_frame(
     if len(body) < header.size:
         raise FormatError(f"truncated file: expected a {header.size}-byte header")
     return header.unpack_from(body), body
+
+
+def names_file(read):
+    """Decorate a reader whose first argument is a path: its FormatErrors name that path."""
+
+    @functools.wraps(read)
+    def reader(path, *args, **kwargs):
+        try:
+            return read(path, *args, **kwargs)
+        except FormatError as exc:
+            raise FormatError(f"{path}: {exc}") from None
+
+    return reader
 
 
 def key_value_lines(fh):

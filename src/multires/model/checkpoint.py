@@ -14,7 +14,7 @@ import struct
 import numpy as np
 
 from multires.errors import FormatError
-from multires.fileio import atomic_write, frame, read_frame
+from multires.fileio import atomic_write, frame, names_file, read_frame
 from multires.model.encoder import ConvBlock, ConvRRParams, FCRRParams
 
 CRR_MAGIC = b"CRR1"
@@ -44,8 +44,9 @@ def write_checkpoint(path: str, params, kind: str) -> None:
         fh.write(serialize_params(params, kind))
 
 
+@names_file
 def read_checkpoint(path: str):
-    """Returns (params, kind); raises FormatError on any corruption.
+    """Returns (params, kind); raises FormatError, naming the file, on any corruption.
 
     Tensors are copied out of the file's read-only map, so they are
     writable; at their unaligned offsets, BLAS would also copy each weight

@@ -75,6 +75,10 @@ class ConvRRParams:
     def tensor_names(self) -> list[str]:
         return [f"block{i}.{part}" for i in range(1, self.depth + 1) for part in ("kernels", "bias")]
 
+    def text_cells(self, k: int) -> int:
+        """Cells (rows x K) the first conv GEMM reads for one text of k positions."""
+        return k * self.window * self.dim
+
     def replace_tensors(self, tensors: list[np.ndarray]) -> "ConvRRParams":
         blocks = [
             ConvBlock(kernels=tensors[2 * i], bias=tensors[2 * i + 1])
@@ -112,6 +116,10 @@ class FCRRParams:
 
     def tensor_names(self) -> list[str]:
         return ["weight", "bias"]
+
+    def text_cells(self, k: int) -> int:
+        """Cells (rows x K) the dense GEMM reads for one text: its mean row."""
+        return self.dim
 
     def replace_tensors(self, tensors: list[np.ndarray]) -> "FCRRParams":
         return FCRRParams(weight=tensors[0], bias=tensors[1], scale=self.scale)
@@ -298,18 +306,38 @@ def mean_embedding_encode(x: np.ndarray) -> np.ndarray:
     return l2_normalize(mean_over_positions(x))
 
 
-def _forward_by_length(matrices: list[np.ndarray], params):
-    """Yield (input positions, outputs, cache) per group of equal-length texts.
+# Most first-layer GEMM cells (rows x K) that one batched forward of
+# encode_texts reads; bounds that forward's temporary arrays.
+ENCODE_CELLS = 1 << 21
 
-    Each group runs through one batched forward, shortest texts first.
+
+def _forward_by_length(matrices: list[np.ndarray], params, max_cells: int | None = None):
+    """Yield (input positions, outputs, cache) per part of a group of equal-length texts.
+
+    Groups run shortest texts first, each through one batched forward. With
+    ``max_cells``, a group whose first-layer GEMM would read more than
+    ``max_cells`` cells (rows x K, ``params.text_cells``) runs in near-equal
+    parts of whole texts. If f texts fit the budget (f >= 1, so a text too
+    large for it runs alone), a part holds at most f texts and, since no
+    part is smaller than the group over the number of parts, at least
+    ceil(f / 2). So each part of a split group reads more than
+    (max_cells - one text's cells) / 2 cells: enough rows that the BLAS
+    computes each row of the product as it does inside the whole group,
+    and the parts' outputs equal one forward of the group bit for bit
+    (checked on the BLAS in use by ``tests/test_encode_parts.py``).
     """
     by_len: dict[int, list[int]] = {}
     for i, m in enumerate(matrices):
         by_len.setdefault(m.shape[0], []).append(i)
     for k in sorted(by_len):
         idxs = by_len[k]
-        out, cache = forward_many(np.stack([matrices[i] for i in idxs]), params)
-        yield idxs, out, cache
+        parts = 1
+        if max_cells is not None:
+            parts = -(-len(idxs) // max(1, max_cells // params.text_cells(k)))
+        for p in range(parts):
+            part = idxs[p * len(idxs) // parts : (p + 1) * len(idxs) // parts]
+            out, cache = forward_many(np.stack([matrices[i] for i in part]), params)
+            yield part, out, cache
 
 
 def grouped_forward(
@@ -319,6 +347,8 @@ def grouped_forward(
 
     Returns the outputs, rows in input order, and per length group its
     input positions and forward cache, which ``grouped_backward`` consumes.
+    A group is never split into parts: its kernel gradient is one GEMM
+    summing over all its texts, and parts would change that sum's order.
     """
     outputs = np.zeros((0, params.dim), dtype=np.float32)
     groups = []
@@ -344,11 +374,14 @@ def grouped_backward(
 def encode_texts(matrices: list[np.ndarray], params) -> np.ndarray:
     """Encode texts of possibly different lengths; rows follow input order.
 
-    The outputs equal ``grouped_forward``'s, but each group's cache is
-    dropped as soon as the group is done, so memory stays at one group's.
+    The outputs equal ``grouped_forward``'s bit for bit, but each length
+    group runs in parts of at most ``ENCODE_CELLS`` first-layer GEMM cells
+    (a text larger than that runs alone), and each part's cache is dropped
+    as soon as the part is done. So the memory beyond the inputs and the
+    outputs is one part's, whatever the number of texts.
     """
     outputs = np.zeros((0, params.dim), dtype=np.float32)
-    for n, (idxs, out, _) in enumerate(_forward_by_length(matrices, params)):
+    for n, (idxs, out, _) in enumerate(_forward_by_length(matrices, params, ENCODE_CELLS)):
         if n == 0:
             outputs = np.empty((len(matrices), params.dim), dtype=out.dtype)
         outputs[idxs] = out

@@ -352,7 +352,7 @@ class TestIndexFiles:
         assert main(["search", "--config", str(config), "item2 tag2"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "unsupported version 1 (expected 3)" in captured.err
+        assert f"{v1}: unsupported version 1 (expected 3)" in captured.err
 
     def test_search_on_a_flipped_index_byte_exit_2(self, cli_workspace, capsys):
         ws = cli_workspace

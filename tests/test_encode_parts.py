@@ -1,0 +1,118 @@
+"""encode_texts runs each length group in parts of at most ENCODE_CELLS GEMM cells.
+
+The parts' rows must equal one batched forward of the whole group bit for
+bit. That rests on the BLAS computing a row of a product the same way
+whatever the number of rows, once past its small-matrix paths, which is a
+property of the BLAS build, so these tests check it at the real budget.
+"""
+
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from multires.model import encoder
+from multires.model.encoder import (
+    ENCODE_CELLS,
+    encode_texts,
+    grouped_forward,
+    init_convrr_params,
+    init_fcrr_params,
+)
+
+
+def _params(kind, dim, dtype, seed=0):
+    rng = np.random.default_rng(seed)
+    if kind == "convrr":
+        return init_convrr_params(dim, rng=rng, dtype=dtype)
+    return init_fcrr_params(dim, rng=rng, dtype=dtype)
+
+
+# (kind, k, d'', texts of length k): each group splits into 2-3 parts of
+# unequal sizes. fcrr's GEMM reads one mean row per text, so a split group
+# holds more than ENCODE_CELLS * k input cells; k=40 would need 336 MB.
+SPLIT_SHAPES = [
+    ("convrr", 1, 64, 10487),
+    ("convrr", 2, 64, 7000),
+    ("convrr", 40, 64, 350),
+    ("fcrr", 1, 64, 36045),
+    ("fcrr", 2, 64, 36045),
+]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("kind, k, dim, n", SPLIT_SHAPES)
+def test_parts_equal_one_forward_of_the_group(kind, k, dim, n, dtype, monkeypatch):
+    params = _params(kind, dim, dtype)
+    rng = np.random.default_rng(n + k)
+    texts = list(rng.normal(size=(n, k, dim)).astype(dtype))
+    texts += list(rng.normal(size=(7, k + 1, dim)).astype(dtype))  # a group that fits
+    order = rng.permutation(len(texts))
+    texts = [texts[i] for i in order]
+
+    sizes = []
+    forward_many = encoder.forward_many
+
+    def recording(xs, p):
+        sizes.append(xs.shape[0])
+        return forward_many(xs, p)
+
+    monkeypatch.setattr(encoder, "forward_many", recording)
+    got = encode_texts(texts, params)
+    parts, last = sizes[:-1], sizes[-1]
+    sizes.clear()
+    expected, _ = grouped_forward(texts, params)  # one forward per group
+
+    assert sizes == [n, 7] and last == 7
+    assert got.tobytes() == expected.tobytes()
+    assert sum(parts) == n and len(parts) >= 2 and len(set(parts)) == 2
+    fit = ENCODE_CELLS // params.text_cells(k)
+    for texts_in_part in parts:
+        assert math.ceil(fit / 2) <= texts_in_part <= fit
+        assert ENCODE_CELLS / 2 <= texts_in_part * params.text_cells(k) <= ENCODE_CELLS
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    lengths=st.lists(st.integers(1, 4), min_size=0, max_size=60),
+    max_cells=st.integers(1, 400),
+)
+def test_split_rule(lengths, max_cells):
+    """Near-equal parts of whole texts, each within the budget, at least half full."""
+    params = _params("convrr", 2, np.float64)
+    texts = [np.ones((k, 2)) for k in lengths]
+    parts = [idxs for idxs, _, _ in encoder._forward_by_length(texts, params, max_cells)]
+    assert sorted(i for part in parts for i in part) == list(range(len(texts)))
+    for k in sorted(set(lengths)):
+        group = [i for i, length in enumerate(lengths) if length == k]
+        mine = [part for part in parts if lengths[part[0]] == k]
+        assert [i for part in mine for i in part] == group  # input order within the group
+        fit = max(1, max_cells // params.text_cells(k))
+        sizes = [len(part) for part in mine]
+        assert max(sizes) - min(sizes) <= 1
+        assert max(sizes) <= fit
+        if len(mine) > 1:
+            assert min(sizes) >= math.ceil(fit / 2)
+        else:
+            assert sizes == [len(group)] and len(group) <= fit
+
+
+@pytest.mark.parametrize("n", [250, 2000])
+def test_encode_memory_is_bounded(n):
+    """convrr, depth 2, k=40, d''=64: the memory encode_texts adds stays bounded.
+
+    The inputs exist before tracing starts, so the traced peak holds the
+    outputs and the temporaries. One forward of all 2000 texts would hold
+    12 times ENCODE_CELLS cells in its window copy alone.
+    """
+    params = _params("convrr", 64, np.float32)
+    texts = list(np.random.default_rng(n).normal(size=(n, 40, 64)).astype(np.float32))
+    tracemalloc.start()
+    try:
+        out = encode_texts(texts, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - out.nbytes < 4 * ENCODE_CELLS * out.itemsize

@@ -125,6 +125,26 @@ def test_crafted_header_is_rejected_without_allocating(blob, read, tmp_path):
     assert peak < 1 << 20
 
 
+@pytest.mark.parametrize(
+    "blob, read, message",
+    [
+        ((DATA / "v1_index.mre").read_bytes(), _read_mre, "unsupported version 1 (expected 3)"),
+        (_framed(b"MRE1", 3, b"\0" * 6), _read_mre, "truncated file: expected a 14-byte header"),
+        (_framed(b"MRE1", 3, _NON_UTF8_TABLE), _read_mre, "token table is not UTF-8 at byte 14"),
+        (_framed(b"MRT1", 2, _HUGE_MRT), _read_mrt, "truncated file or trailing bytes"),
+        (_framed(b"CRR1", 1, _HUGE_TENSOR), _read_crr, "truncated file: tensor"),
+        (b"CRR1", _read_crr, "truncated file: 4 bytes, no frame head"),
+    ],
+    ids=["frame-version", "frame-header", "mre-body", "mrt-body", "crr-body", "crr-head"],
+)
+def test_format_error_names_the_file(blob, read, message, tmp_path):
+    path = tmp_path / "named.bin"
+    path.write_bytes(blob)
+    with pytest.raises(FormatError) as caught:
+        read(path)
+    assert str(caught.value).startswith(f"{path}: {message}")
+
+
 def _unsupported(found, expected):
     return rf"unsupported version {found} \(expected {expected}\)"
 
