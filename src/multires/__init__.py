@@ -18,7 +18,6 @@ from multires.model import (
     convrr_forward,
     fcrr_forward,
     mine_hard,
-    pair_distance,
     train,
     triplet_loss,
 )
@@ -47,7 +46,6 @@ __all__ = [
     "convrr_forward",
     "fcrr_forward",
     "mine_hard",
-    "pair_distance",
     "train",
     "triplet_loss",
     "EvalReport",

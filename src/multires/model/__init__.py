@@ -11,10 +11,9 @@ from multires.model.encoder import (
     init_convrr_params,
     init_fcrr_params,
     mean_embedding_encode,
-    pair_distance,
     zero_convrr_params,
 )
-from multires.model.loss import LossConfig, TripletIndices, mine_hard, triplet_loss
+from multires.model.loss import LossConfig, mine_hard, triplet_loss
 from multires.model.train import MINING_MODES, TrainConfig, TrainResult, train
 
 __all__ = [
@@ -32,10 +31,8 @@ __all__ = [
     "init_convrr_params",
     "init_fcrr_params",
     "mean_embedding_encode",
-    "pair_distance",
     "zero_convrr_params",
     "LossConfig",
-    "TripletIndices",
     "mine_hard",
     "triplet_loss",
     "MINING_MODES",

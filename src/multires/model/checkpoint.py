@@ -13,7 +13,7 @@ import struct
 
 import numpy as np
 
-from multires.errors import FormatError
+from multires.errors import ConfigError, FormatError, ShapeError
 from multires.fileio import atomic_write, frame, names_file, read_frame
 from multires.model.encoder import ConvBlock, ConvRRParams, FCRRParams
 
@@ -68,11 +68,14 @@ def read_checkpoint(path: str):
         tensors.append(np.ndarray(shape, "<f4", body, start).copy())
     if offset != len(body):
         raise FormatError("trailing bytes before checksum")
-    if kind == "convrr":
-        blocks = [ConvBlock(kernels=k, bias=b) for k, b in zip(tensors[::2], tensors[1::2])]
-        params = ConvRRParams(blocks=blocks, window=window, scale=float(scale))
-    else:
-        params = FCRRParams(weight=tensors[0], bias=tensors[1], scale=float(scale))
+    try:
+        if kind == "convrr":
+            blocks = [ConvBlock(kernels=k, bias=b) for k, b in zip(tensors[::2], tensors[1::2])]
+            params = ConvRRParams(blocks=blocks, window=window, scale=float(scale))
+        else:
+            params = FCRRParams(weight=tensors[0], bias=tensors[1], scale=float(scale))
+    except (ConfigError, ShapeError) as exc:
+        raise FormatError(f"invalid encoder: {exc}") from None
     if params.dim != dim:
         raise FormatError(f"tensor dim {params.dim} disagrees with header dim {dim}")
     return params, kind

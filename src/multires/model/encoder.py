@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from multires.errors import ConfigError, ContractError, NumericalError, ShapeError
+from multires.errors import ConfigError, NumericalError, ShapeError
 from multires.numerics import kernels
 from multires.numerics.ops import (
     l2_normalize,
@@ -388,22 +388,8 @@ def encode_texts(matrices: list[np.ndarray], params) -> np.ndarray:
     return outputs
 
 
-def pair_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Squared Euclidean distance between two unit vectors, sum((a - b)**2).
-
-    The elementwise sum, not the Gram form 2 - 2 a.b, which rounds differently.
-    """
-    if a.shape != b.shape:
-        raise ShapeError(f"vector shapes {a.shape} and {b.shape} disagree")
-    for name, v in (("a", a), ("b", b)):
-        norm = float(np.linalg.norm(v))
-        if abs(norm - 1.0) > 1e-6:
-            raise ContractError(f"vector {name} has norm {norm!r}, expected unit")
-    return float(np.sum((a - b) ** 2))
-
-
 def squared_distances(vectors: np.ndarray, query: np.ndarray) -> np.ndarray:
-    """Row-wise squared Euclidean distances; bitwise equal to pair_distance."""
+    """Row-wise squared Euclidean distances, the elementwise sums ``nearest`` returns."""
     return np.sum((vectors - query) ** 2, axis=1)
 
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -18,15 +17,6 @@ class LossConfig:
     def __post_init__(self):
         if not self.margin > 0:
             raise ConfigError(f"margin must be positive, got {self.margin}")
-
-
-@dataclass(frozen=True)
-class TripletIndices:
-    """Indices into the anchor list and the mined document list."""
-
-    anchor: int
-    positive: int
-    negative: int
 
 
 def triplet_loss(d_pos, d_neg, cfg: LossConfig):
@@ -71,39 +61,37 @@ def triplet_step(
 
 
 def mine_hard(
-    anchors: Sequence[np.ndarray],
-    positives: Sequence[np.ndarray],
-    batch_docs: Sequence[tuple[str, np.ndarray]],
-    gold: Mapping[int, str],
+    anchors: np.ndarray,
+    positives: np.ndarray,
+    docs: np.ndarray,
+    gold: np.ndarray,
     semi_hard: bool = False,
-) -> list[TripletIndices]:
-    """Pick, per anchor, the closest candidate that is not its gold document.
+) -> np.ndarray:
+    """Per anchor, the column of the closest row of ``docs`` that is not its
+    ``gold`` column, as one intp array.
 
-    Ties break toward the smallest document index. Anchors whose hardest
-    negative already satisfies the margin are kept (their loss clamps to 0).
-    With semi_hard=True, candidates closer than the positive are excluded
+    Ties break toward the smallest column. Anchors whose hardest negative
+    already satisfies the margin are kept (their loss clamps to 0). With
+    semi_hard=True, candidates closer than the anchor's positive are excluded
     first; when none remain the hardest overall is used instead. Distances
     are the elementwise sums, ranked through ``encoder.nearest``.
     """
-    if len(anchors) != len(positives):
-        raise MiningError(f"{len(anchors)} anchors but {len(positives)} positives")
-    doc_index = {doc_id: i for i, (doc_id, _) in enumerate(batch_docs)}
-    if len(doc_index) != len(batch_docs):
-        raise MiningError("batch documents repeat an id")
-    gold_cols = [doc_index.get(gold.get(a)) for a in range(len(anchors))]
-    for a, col in enumerate(gold_cols):
-        if col is None:
-            raise MiningError(f"anchor {a} has no in-batch gold document")
-        if len(doc_index) < 2:
-            raise MiningError(f"anchor {a} has no candidate negatives in the batch")
-    if not gold_cols:
-        return []
-    queries = np.asarray(anchors)
-    docs = np.stack([vec for _, vec in batch_docs])
-    exclude = np.array(gold_cols, dtype=np.intp)
-    floor = np.sum((queries - np.asarray(positives)) ** 2, axis=1) if semi_hard else None
-    negative = nearest(queries, docs, 1, exclude=exclude, floor=floor)[0][:, 0]
+    anchors, gold = np.asarray(anchors), np.asarray(gold, dtype=np.intp)
+    if not len(anchors) == len(positives) == len(gold):
+        raise MiningError(
+            f"{len(anchors)} anchors, {len(positives)} positives and {len(gold)} gold columns"
+        )
+    if not len(anchors):
+        return np.empty(0, dtype=np.intp)
+    if len(docs) < 2:
+        raise MiningError(f"{len(docs)} document(s) leave no candidate negative")
+    outside = np.flatnonzero((gold < 0) | (gold >= len(docs)))
+    if outside.size:
+        a = outside[0]
+        raise MiningError(f"anchor {a} has gold column {gold[a]}, outside [0, {len(docs)})")
+    floor = np.sum((anchors - np.asarray(positives)) ** 2, axis=1) if semi_hard else None
+    negative = nearest(anchors, docs, 1, exclude=gold, floor=floor)[0][:, 0]
     if semi_hard:
         none_left = np.flatnonzero(negative < 0)
-        negative[none_left] = nearest(queries[none_left], docs, 1, exclude=exclude[none_left])[0][:, 0]
-    return list(map(TripletIndices, range(len(gold_cols)), gold_cols, negative.tolist()))
+        negative[none_left] = nearest(anchors[none_left], docs, 1, exclude=gold[none_left])[0][:, 0]
+    return negative

@@ -107,10 +107,9 @@ def train(
         batch = [pairs[i] for i in order[cursor:cursor + batch_size]]
         cursor += batch_size
 
-        if full_scan:
+        batch_doc_ids = list(dict.fromkeys(p.positive_doc_id for p in batch))
+        if full_scan or len(batch_doc_ids) < 2:  # one document leaves no negative to mine
             batch_doc_ids = all_doc_ids
-        else:
-            batch_doc_ids = list(dict.fromkeys(p.positive_doc_id for p in batch))
 
         anchors, query_groups = enc.grouped_forward([queries[p.query_id] for p in batch], params)
         doc_outs, doc_groups = enc.grouped_forward([docs[d] for d in batch_doc_ids], params)
@@ -119,14 +118,7 @@ def train(
         doc_pos = {did: i for i, did in enumerate(batch_doc_ids)}
         positive = np.array([doc_pos[p.positive_doc_id] for p in batch], dtype=np.intp)
 
-        triplets = mine_hard(
-            anchors,
-            doc_outs[positive],
-            list(zip(batch_doc_ids, doc_outs)),
-            {i: p.positive_doc_id for i, p in enumerate(batch)},
-            semi_hard=semi_hard,
-        )
-        negative = np.array([t.negative for t in triplets], dtype=np.intp)
+        negative = mine_hard(anchors, doc_outs[positive], doc_outs, positive, semi_hard=semi_hard)
         losses, active, g_anchor, g_doc = triplet_step(anchors, doc_outs, positive, negative, cfg.loss)
         mean_loss = float(np.mean(losses))
         if not np.isfinite(mean_loss):

@@ -3,7 +3,6 @@ from multires.numerics.gradcheck import finite_diff_check
 from multires.numerics.kernels import active_backend
 from multires.numerics.ops import (
     NORM_FLOOR,
-    as_tensor,
     conv1d_same,
     conv1d_same_backward,
     l2_normalize,
@@ -21,7 +20,6 @@ __all__ = [
     "finite_diff_check",
     "active_backend",
     "NORM_FLOOR",
-    "as_tensor",
     "conv1d_same",
     "conv1d_same_backward",
     "l2_normalize",

@@ -13,20 +13,11 @@ from multires.errors import (
     ConfigError,
     DegenerateVectorError,
     EmptyInputError,
-    NumericalError,
     ShapeError,
 )
 from multires.numerics import kernels
 
 NORM_FLOOR = 1e-12
-
-
-def as_tensor(data, dtype=None, checked: bool = False) -> np.ndarray:
-    """Array constructor; in checked mode rejects NaN/Inf entries."""
-    arr = np.asarray(data, dtype=dtype)
-    if checked and not np.all(np.isfinite(arr)):
-        raise NumericalError("non-finite entries in tensor")
-    return arr
 
 
 def _common_dtype(*arrays: np.ndarray) -> np.dtype:

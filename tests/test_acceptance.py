@@ -330,20 +330,19 @@ def test_criterion_3_oracle_suite():
         return v / np.linalg.norm(v)
 
     for n_docs in (2, 17, 64):
-        docs = [(f"d{i}", unit(rng.normal(size=5))) for i in range(n_docs)]
-        anchors = [unit(rng.normal(size=5)) for _ in range(16)]
-        gold = {i: f"d{int(rng.integers(0, n_docs))}" for i in range(16)}
-        positives = [dict(docs)[gold[i]] for i in range(16)]
-        mined = mine_hard(anchors, positives, docs, gold)
-        for t in mined:
+        docs = np.array([unit(rng.normal(size=5)) for _ in range(n_docs)])
+        anchors = np.array([unit(rng.normal(size=5)) for _ in range(16)])
+        gold = np.array([int(rng.integers(0, n_docs)) for _ in range(16)])
+        mined = mine_hard(anchors, docs[gold], docs, gold)
+        for a, negative in enumerate(mined.tolist()):
             best, best_idx = None, None
-            for idx, (doc_id, vec) in enumerate(docs):
-                if doc_id == gold[t.anchor]:
+            for idx, vec in enumerate(docs):
+                if idx == gold[a]:
                     continue
-                dist = float(np.sum((anchors[t.anchor] - vec) ** 2))
+                dist = float(np.sum((anchors[a] - vec) ** 2))
                 if best is None or dist < best:
                     best, best_idx = dist, idx
-            ok = ok and t.negative == best_idx
+            ok = ok and negative == best_idx
 
     # search equals the stable full-sort prefix for a 1000-document index
     docs = [(f"d{i}", unit(rng.normal(size=16))) for i in range(1000)]

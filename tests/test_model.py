@@ -6,7 +6,6 @@ import pytest
 from multires.corpus import QaPair
 from multires.errors import (
     ConfigError,
-    ContractError,
     DatasetError,
     DegenerateVectorError,
     MiningError,
@@ -17,7 +16,6 @@ from multires.model import (
     init_convrr_params,
     init_fcrr_params,
     mine_hard,
-    pair_distance,
     serialize_params,
     train,
     triplet_loss,
@@ -214,29 +212,6 @@ class TestGroupedEncode:
             assert np.allclose(got, sum(parts), atol=1e-12, rtol=0)
 
 
-class TestPairDistance:
-    def test_equal_vectors(self):
-        v = np.array([1.0, 0.0])
-        assert pair_distance(v, v) == 0.0
-
-    def test_orthogonal(self):
-        assert pair_distance(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 2.0
-
-    def test_antipodal(self):
-        assert pair_distance(np.array([1.0, 0.0]), np.array([-1.0, 0.0])) == 4.0
-
-    def test_non_unit_rejected_in_checked_mode(self):
-        with pytest.raises(ContractError):
-            pair_distance(np.array([2.0, 0.0]), np.array([1.0, 0.0]))
-
-    def test_monotone_in_cosine(self, rng):
-        a = rng.normal(size=6)
-        a /= np.linalg.norm(a)
-        b = rng.normal(size=6)
-        b /= np.linalg.norm(b)
-        assert abs(pair_distance(a, b) - (2 - 2 * float(np.dot(a, b)))) < 1e-12
-
-
 class TestTripletLoss:
     def test_violating(self):
         assert triplet_loss(0.5, 1.0, LossConfig(margin=1.0)) == 0.5
@@ -267,13 +242,13 @@ def unit(v):
     return v / np.linalg.norm(v)
 
 
-def brute_force_mine(anchors, batch_docs, gold):
+def brute_force_mine(anchors, docs, gold):
     """Exhaustive scan with naive per-pair distances."""
     chosen = []
     for a_idx, anchor in enumerate(anchors):
         best = None
-        for d_idx, (doc_id, vec) in enumerate(batch_docs):
-            if doc_id == gold[a_idx]:
+        for d_idx, vec in enumerate(docs):
+            if d_idx == gold[a_idx]:
                 continue
             dist = float(np.sum((anchor - vec) ** 2))
             if best is None or dist < best[0] - 1e-18 or (dist == best[0] and d_idx < best[1]):
@@ -284,61 +259,70 @@ def brute_force_mine(anchors, batch_docs, gold):
 
 class TestMineHard:
     def test_single_candidate(self):
-        anchors = [unit([1, 0, 0])]
-        docs = [("gold", unit([1, 0.1, 0])), ("other", unit([0, 1, 0]))]
-        triplets = mine_hard(anchors, [docs[0][1]], docs, {0: "gold"})
-        assert triplets[0].negative == 1
-        assert triplets[0].positive == 0
+        anchors = np.array([unit([1, 0, 0])])
+        docs = np.array([unit([1, 0.1, 0]), unit([0, 1, 0])])
+        negative = mine_hard(anchors, docs[[0]], docs, [0])
+        assert negative.dtype == np.intp
+        assert negative.tolist() == [1]
 
     def test_matches_brute_force(self, rng):
         for _ in range(25):
             n_docs = int(rng.integers(2, 9))
             n_anchors = int(rng.integers(1, 5))
-            docs = [(f"d{i}", unit(rng.normal(size=4))) for i in range(n_docs)]
-            gold = {a: f"d{int(rng.integers(0, n_docs))}" for a in range(n_anchors)}
-            anchors = [unit(rng.normal(size=4)) for _ in range(n_anchors)]
-            positives = [dict(docs)[gold[a]] for a in range(n_anchors)]
-            triplets = mine_hard(anchors, positives, docs, gold)
-            expected = brute_force_mine(anchors, docs, gold)
-            assert [t.negative for t in triplets] == expected
+            docs = np.array([unit(rng.normal(size=4)) for _ in range(n_docs)])
+            gold = np.array([int(rng.integers(0, n_docs)) for _ in range(n_anchors)])
+            anchors = np.array([unit(rng.normal(size=4)) for _ in range(n_anchors)])
+            negative = mine_hard(anchors, docs[gold], docs, gold)
+            assert negative.tolist() == brute_force_mine(anchors, docs, gold)
 
     def test_tie_breaks_to_lower_index(self):
         anchor = unit([1, 0, 0])
         same = unit([0, 1, 0])
-        docs = [("gold", unit([1, 0.2, 0])), ("n1", same), ("n2", same.copy())]
-        triplets = mine_hard([anchor], [docs[0][1]], docs, {0: "gold"})
-        assert triplets[0].negative == 1
+        docs = np.array([unit([1, 0.2, 0]), same, same.copy()])
+        assert mine_hard([anchor], docs[[0]], docs, [0]).tolist() == [1]
 
     def test_satisfied_anchors_kept(self):
         anchor = unit([1, 0, 0])
-        docs = [("gold", anchor.copy()), ("far", unit([-1, 0, 0]))]
-        triplets = mine_hard([anchor], [anchor], docs, {0: "gold"})
-        assert len(triplets) == 1  # d_pos + m <= d_neg, still reported
+        docs = np.array([anchor.copy(), unit([-1, 0, 0])])
+        negative = mine_hard([anchor], [anchor], docs, [0])
+        assert negative.tolist() == [1]  # d_pos + m <= d_neg, still reported
 
-    def test_anchor_without_gold_in_batch(self):
+    def test_counts_must_agree(self):
+        docs = np.array([unit([1, 0, 0]), unit([0, 1, 0])])
+        with pytest.raises(MiningError, match="2 anchors, 1 positives and 2 gold columns"):
+            mine_hard(docs, docs[[0]], docs, [0, 1])
+        with pytest.raises(MiningError, match="2 anchors, 2 positives and 1 gold columns"):
+            mine_hard(docs, docs, docs, [0])
+
+    @pytest.mark.parametrize("col", [-1, 2])
+    def test_gold_column_outside_the_documents(self, col):
+        docs = np.array([unit([1, 0, 0]), unit([0, 1, 0])])
+        with pytest.raises(MiningError, match=f"anchor 1 has gold column {col}, outside"):
+            mine_hard(docs, docs, docs, [0, col])
+
+    def test_one_document_has_no_negative(self):
         anchor = unit([1, 0, 0])
-        docs = [("other", unit([0, 1, 0]))]
-        with pytest.raises(MiningError):
-            mine_hard([anchor], [anchor], docs, {0: "gold"})
+        with pytest.raises(MiningError, match="no candidate negative"):
+            mine_hard([anchor], [anchor], np.array([anchor]), [0])
+        assert mine_hard(np.empty((0, 3)), np.empty((0, 3)), np.empty((0, 3)), []).size == 0
 
     def test_semi_hard_prefers_farther_than_positive(self):
         anchor = unit([1.0, 0.0, 0.0])
         pos = unit([1.0, 0.5, 0.0])
         closer = unit([1.0, 0.1, 0.0])
         farther = unit([0.0, 1.0, 0.0])
-        docs = [("gold", pos), ("close", closer), ("far", farther)]
-        hard = mine_hard([anchor], [pos], docs, {0: "gold"})
-        semi = mine_hard([anchor], [pos], docs, {0: "gold"}, semi_hard=True)
-        assert hard[0].negative == 1
-        assert semi[0].negative == 2
+        docs = np.array([pos, closer, farther])
+        hard = mine_hard([anchor], [pos], docs, [0])
+        semi = mine_hard([anchor], [pos], docs, [0], semi_hard=True)
+        assert hard.tolist() == [1]
+        assert semi.tolist() == [2]
 
     def test_semi_hard_falls_back_to_hardest(self):
         anchor = unit([1.0, 0.0])
         pos = unit([0.0, 1.0])  # everything is closer than the positive
         near = unit([1.0, 0.05])
-        docs = [("gold", pos), ("near", near)]
-        semi = mine_hard([anchor], [pos], docs, {0: "gold"}, semi_hard=True)
-        assert semi[0].negative == 1
+        semi = mine_hard([anchor], [pos], np.array([pos, near]), [0], semi_hard=True)
+        assert semi.tolist() == [1]
 
 
 def two_cluster_pairs(n_pairs=8, dim=6, seed=0, spread=0.05):
@@ -353,6 +337,14 @@ def two_cluster_pairs(n_pairs=8, dim=6, seed=0, spread=0.05):
         queries[f"q{i}"] = query.astype(np.float32)[None, :]
         pairs.append(QaPair(f"q{i}", "", f"d{i}"))
     return pairs, queries, docs
+
+
+def shared_gold_pairs(*gold):
+    """One query per gold document id, over the documents a and b."""
+    gen = np.random.default_rng(0)
+    queries = {f"q{i}": gen.normal(size=(1, 4)).astype(np.float32) for i in range(len(gold))}
+    docs = {d: gen.normal(size=(1, 4)).astype(np.float32) for d in "ab"}
+    return [QaPair(f"q{i}", "", d) for i, d in enumerate(gold)], queries, docs
 
 
 class TestTrain:
@@ -426,6 +418,24 @@ class TestTrain:
         cfg = TrainConfig(iterations=2, batch_size=4, seed=2, mining="full_scan")
         result = train(pairs, queries, docs, "convrr", cfg)
         assert len(result.loss_trace) == 2
+
+    @pytest.mark.parametrize("mining", ["batch_hard", "semi_hard"])
+    def test_one_document_batch_trains(self, mining):
+        """A batch of q0 and q1 holds document a alone; it mines against a and b."""
+        data = shared_gold_pairs("a", "a", "b")
+        cfg = TrainConfig(iterations=20, batch_size=2, seed=1, mining=mining)
+        run_a, run_b = (train(*data, "convrr", cfg) for _ in range(2))
+        assert len(run_a.loss_trace) == 20 and np.isfinite(run_a.loss_trace).all()
+        assert run_a.loss_trace == run_b.loss_trace
+        assert serialize_params(run_a.params, "convrr") == serialize_params(run_b.params, "convrr")
+
+    def test_one_document_batches_mine_as_full_scan(self):
+        data = shared_gold_pairs("a", "a")
+        cfg = dict(iterations=5, batch_size=2, seed=1)
+        hard = train(*data, "convrr", TrainConfig(mining="batch_hard", **cfg))
+        full = train(*data, "convrr", TrainConfig(mining="full_scan", **cfg))
+        assert hard.loss_trace == full.loss_trace
+        assert serialize_params(hard.params, "convrr") == serialize_params(full.params, "convrr")
 
     def test_single_document_rejected(self):
         q = np.ones((1, 3), dtype=np.float32)

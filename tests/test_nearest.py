@@ -14,6 +14,7 @@ from multires.errors import NumericalError, ShapeError
 from multires.model import LossConfig, mine_hard
 from multires.model.encoder import BLOCK_CELLS, nearest, row_sq_norms, squared_distances
 from multires.model.loss import triplet_loss, triplet_step
+from multires.numerics import finite_diff_check
 
 from test_model import brute_force_mine, unit
 
@@ -172,7 +173,7 @@ def test_shape_and_k_checked(rng):
 # --- mining in every mode against per-anchor loops ---
 
 
-def brute_force_semi_hard(anchors, positives, batch_docs, gold):
+def brute_force_semi_hard(anchors, positives, docs, gold):
     """Per anchor: the closest non-gold document not closer than the positive,
     else the closest non-gold document."""
     chosen = []
@@ -180,8 +181,8 @@ def brute_force_semi_hard(anchors, positives, batch_docs, gold):
         d_pos = float(np.sum((anchor - positives[a_idx]) ** 2))
         dists = [
             (float(np.sum((anchor - vec) ** 2)), d_idx)
-            for d_idx, (doc_id, vec) in enumerate(batch_docs)
-            if doc_id != gold[a_idx]
+            for d_idx, vec in enumerate(docs)
+            if d_idx != gold[a_idx]
         ]
         far = [item for item in dists if not item[0] < d_pos]
         chosen.append(min(far or dists)[1])
@@ -220,24 +221,19 @@ def mining_case(draw):
         for _ in range(draw(st.integers(0, 2))):
             p[j] = np.nextafter(p[j], p.dtype.type(draw(st.sampled_from([-2.0, 2.0]))))
         positives.append(p)
-    batch_docs = [(f"d{i}", docs[i]) for i in range(n_docs)]
-    gold = {a: f"d{gold_cols[a]}" for a in range(n_anchors)}
-    return list(anchors), positives, batch_docs, gold
+    return anchors, np.array(positives), docs, gold_cols
 
 
-def exact_mine(anchors, batch_docs, gold):
+def exact_mine(anchors, docs, gold):
     """Per anchor: the first non-gold document of the stable full sort."""
-    cols = {doc_id: i for i, (doc_id, _) in enumerate(batch_docs)}
-    exclude = [cols[gold[a]] for a in range(len(anchors))]
-    docs = np.stack([vec for _, vec in batch_docs])
-    return [picks[0] for picks in oracle(anchors, docs, 1, exclude=exclude)[0]]
+    return [picks[0] for picks in oracle(anchors, docs, 1, exclude=gold)[0]]
 
 
-def has_sub_tolerance_gap(anchors, batch_docs, gold):
+def has_sub_tolerance_gap(anchors, docs, gold):
     """Whether two of some anchor's candidate distances differ by (0, 1e-18]."""
     for a, anchor in enumerate(anchors):
         dists = np.unique([
-            float(np.sum((anchor - vec) ** 2)) for doc_id, vec in batch_docs if doc_id != gold[a]
+            float(np.sum((anchor - vec) ** 2)) for col, vec in enumerate(docs) if col != gold[a]
         ])
         if np.any(np.diff(dists) <= 1e-18):
             return True
@@ -248,40 +244,39 @@ def has_sub_tolerance_gap(anchors, batch_docs, gold):
 @given(mining_case())
 def test_batch_hard_and_full_scan_match_brute_force(case):
     """full_scan differs from batch_hard only in the documents it passes."""
-    anchors, positives, batch_docs, gold = case
-    got = mine_hard(anchors, positives, batch_docs, gold)
-    negatives = [t.negative for t in got]
-    assert negatives == exact_mine(anchors, batch_docs, gold)
-    if not has_sub_tolerance_gap(anchors, batch_docs, gold):
-        assert negatives == brute_force_mine(anchors, batch_docs, gold)
-    assert [t.positive for t in got] == [int(gold[a][1:]) for a in range(len(anchors))]
-    assert [t.anchor for t in got] == list(range(len(anchors)))
+    anchors, positives, docs, gold = case
+    got = mine_hard(anchors, positives, docs, gold)
+    assert got.dtype == np.intp and got.shape == (len(anchors),)
+    negatives = got.tolist()
+    assert negatives == exact_mine(anchors, docs, gold)
+    if not has_sub_tolerance_gap(anchors, docs, gold):
+        assert negatives == brute_force_mine(anchors, docs, gold)
 
 
 def test_mining_ranks_distances_closer_than_the_brute_force_tolerance():
     """Distances 0 and 8.7e-19 apart are not a tie: the exact 0 wins."""
     anchor = np.array([-1.0])
-    docs = [("gold", anchor.copy()), ("near", np.array([-1.0000000009332621])), ("same", anchor.copy())]
-    got = mine_hard([anchor], [anchor], docs, {0: "gold"})
-    assert 0 < float(np.sum((anchor - docs[1][1]) ** 2)) <= 1e-18
-    assert got[0].negative == 2 == exact_mine([anchor], docs, {0: "gold"})[0]
+    docs = np.array([anchor, [-1.0000000009332621], anchor])
+    got = mine_hard([anchor], [anchor], docs, [0])
+    assert 0 < float(np.sum((anchor - docs[1]) ** 2)) <= 1e-18
+    assert got[0] == 2 == exact_mine([anchor], docs, [0])[0]
 
 
 @settings(max_examples=200, deadline=None)
 @given(mining_case())
 def test_semi_hard_matches_brute_force(case):
-    anchors, positives, batch_docs, gold = case
-    got = mine_hard(anchors, positives, batch_docs, gold, semi_hard=True)
-    assert [t.negative for t in got] == brute_force_semi_hard(anchors, positives, batch_docs, gold)
+    anchors, positives, docs, gold = case
+    got = mine_hard(anchors, positives, docs, gold, semi_hard=True)
+    assert got.tolist() == brute_force_semi_hard(anchors, positives, docs, gold)
 
 
 def test_semi_hard_positive_tied_with_a_negative_is_kept():
     """A candidate exactly as far as the positive is not closer: it stays."""
     anchor = unit([1.0, 0.2, 0.0])
     pos = unit([0.0, 1.0, 0.3])
-    docs = [("gold", unit([1.0, 0.0, 0.0])), ("near", unit([1.0, 0.25, 0.0])), ("tie", pos.copy())]
-    semi = mine_hard([anchor], [pos], docs, {0: "gold"}, semi_hard=True)
-    assert semi[0].negative == 2
+    docs = np.array([unit([1.0, 0.0, 0.0]), unit([1.0, 0.25, 0.0]), pos])
+    semi = mine_hard([anchor], [pos], docs, [0], semi_hard=True)
+    assert semi.tolist() == [2]
 
 
 # --- the array-valued triplet step against the per-triplet loop ---
@@ -329,6 +324,40 @@ def test_triplet_step_matches_the_loop_bitwise(seed):
     assert g_anchor.dtype == np.float32 and g_doc.dtype == np.float32
     assert g_anchor.tobytes() == want_anchor.tobytes()
     assert g_doc.tobytes() == want_doc.tobytes()
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_triplet_step_gradients_match_finite_differences(seed):
+    """g_anchor and g_doc against central differences of the mean hinge loss,
+    in float64 and away from its kink; document 0 is the positive of anchor 0
+    and the negative of anchor 1."""
+    rng = np.random.default_rng(seed)
+    n_anchors, n_docs, d = 8, 4, 5
+    anchors = rng.normal(size=(n_anchors, d))
+    docs = rng.normal(size=(n_docs, d))
+    positive = rng.integers(1, n_docs, size=n_anchors)
+    negative = (positive + rng.integers(1, n_docs, size=n_anchors)) % n_docs
+    positive[0], negative[0] = 0, 1
+    negative[1] = 0
+    anchors[:2] = docs[negative[:2]] + rng.normal(scale=0.1, size=(2, d))  # both active
+    cfg = LossConfig(margin=float(rng.uniform(0.5, 8.0)))
+    losses, _, g_anchor, g_doc = triplet_step(anchors, docs, positive, negative, cfg)
+    hinge = (
+        np.sum((anchors - docs[positive]) ** 2, axis=1)
+        - np.sum((anchors - docs[negative]) ** 2, axis=1)
+        + cfg.margin
+    )
+    assert np.abs(hinge).min() > 1e-3
+    assert losses[0] > 0 and losses[1] > 0  # document 0 gets both kinds of term
+
+    def mean_loss_of_anchors(z):
+        return float(np.mean(triplet_step(z, docs, positive, negative, cfg)[0]))
+
+    def mean_loss_of_docs(z):
+        return float(np.mean(triplet_step(anchors, z, positive, negative, cfg)[0]))
+
+    assert finite_diff_check(mean_loss_of_anchors, anchors, g_anchor) < 1e-6
+    assert finite_diff_check(mean_loss_of_docs, docs, g_doc) < 1e-6
 
 
 def test_triplet_step_inactive_batch_has_zero_gradients():

@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from multires.errors import DegenerateVectorError, EmptyInputError, NumericalError
+from multires.errors import DegenerateVectorError, EmptyInputError
 from multires.numerics import (
-    as_tensor,
     conv1d_same,
     conv1d_same_backward,
     finite_diff_check,
@@ -16,12 +15,6 @@ from multires.numerics import (
     relu,
     relu_backward,
 )
-
-
-def test_as_tensor_checked_rejects_nonfinite():
-    with pytest.raises(NumericalError):
-        as_tensor([1.0, np.nan], checked=True)
-    assert as_tensor([1.0, 2.0], checked=True).tolist() == [1.0, 2.0]
 
 
 class TestRelu:
