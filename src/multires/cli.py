@@ -1,8 +1,9 @@
-"""Batch command surface: build-idf, compose, train, index, search, eval.
+"""Batch command surface: build-idf, train, index, search, eval.
 
 Exit codes: 0 success, 1 internal error, 2 user/input error. Every
 command is idempotent for fixed inputs and seed; all randomness flows
-from the --seed flag (or the seed in the run config).
+from the --seed flag (or the seed in the run config). Commands compose
+text in-process from MRE stores; none reads or writes MRT files.
 """
 
 from __future__ import annotations
@@ -17,10 +18,8 @@ from multires.embedding.compose import compose_text
 from multires.embedding.specs import parse_spec_file
 from multires.embedding.stores import (
     ContextFreeStore,
-    ContextualStore,
     read_context_free_store,
     write_context_free_store,
-    write_contextual_store,
 )
 from multires.errors import MultiresError, ParseError
 from multires.fileio import atomic_write, key_value_lines, open_text
@@ -166,29 +165,6 @@ def cmd_build_idf(args) -> int:
     return 0
 
 
-def cmd_compose(args) -> int:
-    store_paths = {}
-    for item in args.store:
-        model, _, path = item.partition("=")
-        if not model or not path:
-            raise ParseError(f"--store expects model=path, got {item!r}")
-        store_paths[model] = path
-    texts = corpus_mod.load_corpus(args.texts)
-    for doc in texts:
-        if os.path.dirname(f"{doc.id}.mrt") or "\0" in doc.id:
-            raise ParseError(f"document id {doc.id!r} is not a plain file name")
-    compose = _load_composer(store_paths, args.spec, args.idf, texts)
-    os.makedirs(args.out_dir, exist_ok=True)
-    dim = 0
-    for line_index, doc in enumerate(texts):
-        matrix = compose(doc.text)
-        dim = matrix.shape[1]
-        out = ContextualStore(model_id="composed", text_id=line_index, layers=matrix[:, None, :])
-        write_contextual_store(os.path.join(args.out_dir, f"{doc.id}.mrt"), out)
-    print(f"composed {len(texts)} texts at d''={dim} -> {args.out_dir}")
-    return 0
-
-
 def cmd_train(args) -> int:
     cfg = parse_run_config(args.config)
     for flag, key in _TRAIN_FLAGS.items():
@@ -285,14 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("corpus")
     p.add_argument("out")
     p.set_defaults(func=cmd_build_idf)
-
-    p = sub.add_parser("compose", help="compose text matrices from embedding stores")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--store", action="append", default=[], metavar="MODEL=PATH")
-    p.add_argument("--texts", required=True)
-    p.add_argument("--idf")
-    p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=cmd_compose)
 
     p = sub.add_parser("train", help="train the retrieval encoder")
     p.add_argument("--config", required=True)

@@ -6,7 +6,8 @@ Context-free store "MRE1" (one file per model), version 3, little-endian body:
     and terminated by a NUL byte
     then the rows: one (V, l, d) float32 block, row-major
 
-Contextual store "MRT1" (one file per text per model), version 2, body:
+Contextual store "MRT1" (one file per text per model), version 2, a library
+format that no CLI command reads or writes, body:
     u32 text_id | u32 k | u16 l | u32 d
     then k*l*d float32, token-major then layer-major
 

@@ -12,8 +12,8 @@ bench_pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_pairs)
 
 METRICS = [
-    {"name": "round_s", "unit": "s", "better": "lower"},
-    {"name": "eval_queries_per_s", "unit": "queries/s", "better": "higher"},
+    {"name": "round_s", "unit": "s", "better": "lower", "bound": 0.25},
+    {"name": "eval_queries_per_s", "unit": "queries/s", "better": "higher", "bound": 0.25},
 ]
 
 
@@ -78,6 +78,24 @@ def test_clear_gain_needs_ten_pairs():
     assert not out["eval_queries_per_s"]["clear_gain"]
 
 
+def test_a_parent_spread_wider_than_the_bound_is_unresolved():
+    # parent IQR / median: 0.2 / 6.2 is within the 0.25 bound, 2.0 / 6.0 is not
+    narrow, wide = [6.0, 6.1, 6.2, 6.3, 6.4], [4.0, 5.0, 6.0, 7.0, 8.0]
+    runs = [pair(i, (p, 100.0), (p, 100.0)) for i, p in enumerate(narrow)]
+    assert not bench_pairs.summarize(runs, METRICS)["round_s"]["unresolved"]
+    runs = [pair(i, (p, 100.0), (6.0, 100.0)) for i, p in enumerate(wide)]
+    out = bench_pairs.summarize(runs, METRICS)
+    assert out["round_s"]["unresolved"]
+    assert not out["eval_queries_per_s"]["unresolved"]  # no spread at all
+
+    # unless every change run beats every parent run, in the metric's direction
+    runs = [pair(i, (p, 100.0), (3.9, 100.0)) for i, p in enumerate(wide)]
+    assert not bench_pairs.summarize(runs, METRICS)["round_s"]["unresolved"]
+    for change, unresolved in [(79.0, True), (81.0, False)]:
+        runs = [pair(i, (6.0, 10 * p), (6.0, change)) for i, p in enumerate(wide)]
+        assert bench_pairs.summarize(runs, METRICS)["eval_queries_per_s"]["unresolved"] is unresolved
+
+
 def test_write_atomic_keeps_the_old_file_when_writing_fails(tmp_path, monkeypatch):
     out = tmp_path / "BENCH_x.json"
     bench_pairs.write_atomic(str(out), '{"a": 1}\n')
@@ -101,6 +119,7 @@ def test_a_pair_in_different_environments_stops_the_run(tmp_path, monkeypatch):
 
     monkeypatch.setattr(bench_pairs, "run_side", fake_run_side)
     monkeypatch.setattr(bench_pairs, "extract", lambda rev, into: str(tmp_path))
+    monkeypatch.setattr(bench_pairs, "resolve", lambda rev: "0" * 40)
     with pytest.raises(SystemExit, match="different environments"):
         bench_pairs.main(["--parent", "HEAD", "--workload", "clustered_train", "--pairs", "1",
                           "--first-seed", "1", "--name", "test", "--workdir", str(tmp_path)])
@@ -130,6 +149,7 @@ def test_a_run_that_failed_its_checks_stops_the_run(flaw, side, tmp_path, monkey
 
     monkeypatch.setattr(bench_pairs, "run_side", fake_run_side)
     monkeypatch.setattr(bench_pairs, "extract", lambda rev, into: str(tmp_path))
+    monkeypatch.setattr(bench_pairs, "resolve", lambda rev: "0" * 40)
     with pytest.raises(SystemExit, match=rf"pair 2/3 \(seed 6\), {side} run failed its checks"):
         bench_pairs.main(_ARGS + ["--pairs", "3", "--workdir", str(tmp_path)])
     assert not os.path.exists(os.path.join(bench_pairs.ROOT, "BENCH_test.json"))
@@ -150,6 +170,7 @@ def test_a_traced_pair_at_the_first_seed_is_recorded(tmp_path, monkeypatch):
     written = {}
     monkeypatch.setattr(bench_pairs, "run_side", fake_run_side)
     monkeypatch.setattr(bench_pairs, "extract", lambda rev, into: str(tmp_path))
+    monkeypatch.setattr(bench_pairs, "resolve", lambda rev: "0" * 40)
     monkeypatch.setattr(bench_pairs, "write_atomic", lambda path, text: written.update({path: text}))
     assert bench_pairs.main(_ARGS + ["--pairs", "2", "--workdir", str(tmp_path)]) == 0
     assert calls == [

@@ -1,8 +1,10 @@
 """Command surface: artifacts, exit codes, determinism, CLI/library agreement."""
 
+import argparse
 import json
 import math
 import os
+import re
 import struct
 import zlib
 from pathlib import Path
@@ -11,10 +13,9 @@ import numpy as np
 import pytest
 
 from multires import corpus as corpus_mod
-from multires.cli import main, parse_run_config
-from multires.embedding import parse_spec_file, read_context_free_store, read_contextual_store
-from multires.embedding.compose import compose_text, composed_dim
-from multires.embedding.stores import ContextFreeStore, write_context_free_store
+from multires.cli import build_parser, main, parse_run_config
+from multires.embedding import parse_spec_file, read_context_free_store
+from multires.embedding.compose import compose_text
 from multires.model import read_checkpoint
 from multires.retrieval import evaluate
 
@@ -49,89 +50,23 @@ class TestBuildIdf:
         assert len(rows) - 1 == len(vocab)
 
 
-class TestCompose:
-    def _identity_fixture(self, tmp_path):
-        gen = np.random.default_rng(1)
-        store = ContextFreeStore(
-            model_id="m",
-            num_layers=1,
-            dim=4,
-            vectors={"hello": gen.normal(size=(1, 4)).astype(np.float32)},
-        )
-        store_path = tmp_path / "m.mre"
-        write_context_free_store(str(store_path), store)
-        spec = tmp_path / "spec.cfg"
-        spec.write_text(
-            "ensemble.aggregator=concatenate\nensemble.weights=1\n"
-            "mixture.1.model=m\nmixture.1.weights=1\nmixture.1.aggregator=sum\n"
-        )
-        texts = tmp_path / "texts.jsonl"
-        texts.write_text('{"id": "t0", "text": "hello"}\n')
-        return store, store_path, spec, texts
+def _commands() -> list[str]:
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return list(sub.choices)
 
-    def test_identity_spec_payload_equals_raw_layer(self, tmp_path):
-        store, store_path, spec, texts = self._identity_fixture(tmp_path)
-        out_dir = tmp_path / "out"
-        code = main(
-            [
-                "compose",
-                "--spec", str(spec),
-                "--store", f"m={store_path}",
-                "--texts", str(texts),
-                "--out-dir", str(out_dir),
-            ]
-        )
-        assert code == 0
-        written = read_contextual_store(str(out_dir / "t0.mrt"), "composed")
-        assert written.layers.shape == (1, 1, 4)
-        assert np.array_equal(written.layers[0, 0], store.vectors["hello"][0])
 
-    def test_rerun_byte_identical(self, tmp_path):
-        _, store_path, spec, texts = self._identity_fixture(tmp_path)
-        args = [
-            "compose",
-            "--spec", str(spec),
-            "--store", f"m={store_path}",
-            "--texts", str(texts),
-        ]
-        assert main(args + ["--out-dir", str(tmp_path / "o1")]) == 0
-        assert main(args + ["--out-dir", str(tmp_path / "o2")]) == 0
-        blob1 = (tmp_path / "o1" / "t0.mrt").read_bytes()
-        blob2 = (tmp_path / "o2" / "t0.mrt").read_bytes()
-        assert blob1 == blob2
+class TestCommands:
+    def test_the_parser_offers_five_commands(self, capsys):
+        assert _commands() == ["build-idf", "train", "index", "search", "eval"]
+        with pytest.raises(SystemExit) as stop:
+            main(["compose", "--spec", "spec.cfg", "--texts", "texts.jsonl"])
+        assert stop.value.code == 2
+        assert "invalid choice: 'compose'" in capsys.readouterr().err
 
-    def test_header_dim_matches_dimension_law(self, cli_workspace, tmp_path):
-        ws = cli_workspace
-        out_dir = tmp_path / "composed"
-        code = main(
-            [
-                "compose",
-                "--spec", str(ws["spec"]),
-                "--store", f"toy={ws['store']}",
-                "--texts", str(ws["corpus"]),
-                "--out-dir", str(out_dir),
-            ]
-        )
-        assert code == 0
-        written = read_contextual_store(str(out_dir / "doc0.mrt"), "composed")
-        spec = parse_spec_file(str(ws["spec"]))
-        store = read_context_free_store(str(ws["store"]), "toy")
-        expected = composed_dim(spec, {"toy": (store.num_layers, store.dim)})
-        assert written.layers.shape[1] == 1  # composed rows are single-layer
-        assert written.layers.shape[2] == expected
-
-    def test_bad_store_argument_exit_2(self, cli_workspace, tmp_path, capsys):
-        ws = cli_workspace
-        code = main(
-            [
-                "compose",
-                "--spec", str(ws["spec"]),
-                "--store", "missing-equals-sign",
-                "--texts", str(ws["corpus"]),
-                "--out-dir", str(tmp_path / "o"),
-            ]
-        )
-        assert code == 2
+    def test_the_readme_cli_block_names_every_command(self):
+        readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+        block = readme.split("\n## CLI\n", 1)[1].split("```", 2)[1]
+        assert re.findall(r"^multires (\S+)", block, flags=re.M) == _commands()
 
 
 class TestTrainEval:
@@ -239,6 +174,13 @@ class TestRunConfigKeys:
         assert main(["eval", "--config", str(ws["config"]), f"--k={value}"]) == 2
         assert f"bad value {value!r} for key 'k'" in capsys.readouterr().err
 
+    def test_eval_k_with_a_leading_dash_needs_the_equals_form(self, cli_workspace, capsys):
+        # argparse takes a spaced "-1,0,1" for an option, so it never reaches the k check
+        with pytest.raises(SystemExit) as stop:
+            main(["eval", "--config", str(cli_workspace["config"]), "--k", "-1,0,1"])
+        assert stop.value.code == 2
+        assert "argument --k" in capsys.readouterr().err
+
 
 class TestIndexSearch:
     def test_index_then_search(self, cli_workspace, capsys):
@@ -301,21 +243,6 @@ class TestInputErrors:
         cli_workspace["store"].write_bytes(framed + struct.pack("<I", zlib.crc32(framed)))
         assert main(["train", "--config", str(cli_workspace["config"])]) == 2
         assert "is not UTF-8" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("doc_id", ["../escaped", "sub/name"])
-    def test_compose_rejects_an_id_that_is_not_a_file_name(self, cli_workspace, doc_id, capsys):
-        ws = cli_workspace
-        texts = ws["dir"] / "texts.jsonl"
-        texts.write_text(
-            json.dumps({"id": "doc0", "text": "common"}) + "\n"
-            + json.dumps({"id": doc_id, "text": "common"}) + "\n"
-        )
-        before = sorted(p.name for p in ws["dir"].iterdir())
-        out_dir = ws["dir"] / "out"
-        args = ["compose", "--spec", str(ws["spec"]), "--store", f"toy={ws['store']}"]
-        assert main(args + ["--texts", str(texts), "--out-dir", str(out_dir)]) == 2
-        assert "is not a plain file name" in capsys.readouterr().err
-        assert sorted(p.name for p in ws["dir"].iterdir()) == before
 
 
 @pytest.mark.parametrize("output", ["idf", "loss_trace", "report"])

@@ -27,8 +27,9 @@ workload and leaves the others as they are. The file is replaced
 atomically, so an interrupted run leaves the previous file whole. An
 entry holds every run's metrics and correct/attempted/failed counts,
 each side's median and quartiles per metric, the change's wins over the
-parent per metric (a tie counts for neither side), the traced pair, and
-the environment line perfbench printed.
+parent per metric (a tie counts for neither side), whether the parent's
+spread leaves the metric unresolved against its bound, the traced pair,
+and the environment line perfbench printed.
 """
 
 from __future__ import annotations
@@ -62,7 +63,10 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
     ``metrics`` is BENCHMARK.json's ``end_to_end`` list. ``clear_gain``
     is true when there are at least ten pairs, the change wins at least
     nine in ten of them, and its median beats the parent's by more than
-    the parent's interquartile range.
+    the parent's interquartile range. ``unresolved`` is true when the
+    parent's interquartile range exceeds the metric's ``bound`` times its
+    median, so the medians cannot show a regression of that size, unless
+    every change run beats every parent run.
     """
     out = {}
     for spec in metrics:
@@ -74,6 +78,7 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
         sides = {"parent": quartiles(parent), "change": quartiles(change)}
         gap = sides["change"]["median"] - sides["parent"]["median"]
         iqr = sides["parent"]["q3"] - sides["parent"]["q1"]
+        separated = min(change) > max(parent) if higher else max(change) < min(parent)
         out[name] = {
             "unit": spec["unit"],
             "better": spec["better"],
@@ -90,6 +95,7 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
                 and 10 * wins >= 9 * len(runs)
                 and (gap if higher else -gap) > iqr
             ),
+            "unresolved": iqr > spec["bound"] * abs(sides["parent"]["median"]) and not separated,
         }
     return out
 
@@ -140,6 +146,17 @@ def run_pair(parent_tree: str, workload: str, seed: int, seconds: float, label: 
     return record
 
 
+def resolve(rev: str) -> str:
+    """The commit id ``rev`` names in this repository; stop if it names none."""
+    rev_parse = subprocess.run(
+        ["git", "-C", ROOT, "rev-parse", "--verify", "--quiet", f"{rev}^{{commit}}"],
+        capture_output=True, text=True,
+    )
+    if rev_parse.returncode != 0:
+        raise SystemExit(f"bench_pairs: unknown revision {rev!r}")
+    return rev_parse.stdout.strip()
+
+
 def extract(rev: str, into: str) -> str:
     """Write the files of ``rev`` into a fresh directory under ``into``."""
     tree = tempfile.mkdtemp(prefix="parent-", dir=into)
@@ -182,13 +199,7 @@ def main(argv=None) -> int:
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         benchmark = json.load(fh)
     metrics, seconds = benchmark["end_to_end"], benchmark["run_seconds"]
-    rev_parse = subprocess.run(
-        ["git", "-C", ROOT, "rev-parse", "--verify", "--quiet", f"{args.parent}^{{commit}}"],
-        capture_output=True, text=True,
-    )
-    if rev_parse.returncode != 0:
-        raise SystemExit(f"bench_pairs: unknown revision {args.parent!r}")
-    commit = rev_parse.stdout.strip()
+    commit = resolve(args.parent)
     with tempfile.TemporaryDirectory(dir=args.workdir) as tmp:
         parent_tree = extract(commit, tmp)
         runs = [
