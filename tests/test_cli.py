@@ -15,7 +15,7 @@ import pytest
 from multires import corpus as corpus_mod
 from multires.cli import build_parser, main, parse_run_config
 from multires.embedding import parse_spec_file, read_context_free_store
-from multires.embedding.compose import compose_text
+from multires.embedding.compose import compose_text, composed_dim
 from multires.model import read_checkpoint
 from multires.retrieval import evaluate
 
@@ -101,6 +101,15 @@ class TestTrainEval:
         expected = evaluate(params, query_ms, doc_ms, [1, 3], gold)
         assert report["recall"] == {str(k): v for k, v in expected.recalls.items()}
 
+    def test_checkpoint_dim_follows_the_dimension_law(self, cli_workspace):
+        # train encodes the rows it composes in-process, so the encoder's width is d''
+        ws = cli_workspace
+        assert main(["train", "--config", str(ws["config"])]) == 0
+        params, _ = read_checkpoint(str(ws["checkpoint"]))
+        spec = parse_spec_file(str(ws["spec"]))
+        store = read_context_free_store(str(ws["store"]), "toy")
+        assert params.dim == composed_dim(spec, {"toy": (store.num_layers, store.dim)})
+
     def test_corrupted_checkpoint_magic_exit_2(self, cli_workspace, capsys):
         ws = cli_workspace
         assert main(["train", "--config", str(ws["config"])]) == 0
@@ -161,6 +170,16 @@ class TestRunConfigKeys:
         path.write_text("stores=a:/s/a.mre\nstores=b:/s/b.mre,c:/s/c.mre\n")
         stores = parse_run_config(str(path)).stores
         assert stores == {"a": "/s/a.mre", "b": "/s/b.mre", "c": "/s/c.mre"}
+
+    @pytest.mark.parametrize("value", ["missing-colon", "toy:"])
+    def test_train_bad_stores_line_exit_2(self, cli_workspace, capsys, value):
+        # stores=MODEL:PATH is the one store syntax; a malformed entry stops the run
+        ws = cli_workspace
+        config = ws["dir"] / "bad-stores.cfg"
+        config.write_text(ws["config"].read_text() + f"stores={value}\n")
+        assert main(["train", "--config", str(config)]) == 2
+        assert f"bad value {value!r} for key 'stores'" in capsys.readouterr().err
+        assert not ws["checkpoint"].exists()
 
     def test_eval_k_flag_overrides_config(self, cli_workspace):
         ws = cli_workspace
