@@ -21,14 +21,14 @@ from multires.embedding.stores import (
     read_context_free_store,
     write_context_free_store,
 )
-from multires.errors import MultiresError, ParseError
+from multires.errors import EmptyTextError, MultiresError, ParseError
 from multires.fileio import atomic_write, key_value_lines, open_text
 from multires.model.checkpoint import read_checkpoint, write_checkpoint
 from multires.model.encoder import encode_texts
 from multires.model.loss import LossConfig
 from multires.model.train import TrainConfig, train
 from multires.numerics.adam import AdamConfig
-from multires.retrieval import build_index, evaluate, search
+from multires.retrieval import RetrievalIndex, evaluate, search
 
 _MINING_FLAGS = {"batch-hard": "batch_hard", "full-scan": "full_scan", "semi-hard": "semi_hard"}
 
@@ -144,14 +144,22 @@ def _require_paths(cfg: RunConfig, names: list[str]) -> None:
 
 
 def _load_composer(store_paths: dict[str, str], spec_path: str, idf_path: str | None, docs):
-    """Read the stores, the spec and the IDF once; return text -> (k, d'') matrix.
+    """Read the stores, the spec and the IDF once; return (text, name) -> (k, d'') matrix.
 
     The IDF is read from ``idf_path`` when it is set, else built from ``docs``.
+    An EmptyTextError names the text by ``name``.
     """
     stores = {model: read_context_free_store(path, model) for model, path in store_paths.items()}
     spec = parse_spec_file(spec_path)
     idf = corpus_mod.load_idf(idf_path) if idf_path else corpus_mod.build_idf(docs)
-    return lambda text: compose_text(corpus_mod.tokenize(text), stores, spec, idf)
+
+    def compose(text: str, name: str):
+        try:
+            return compose_text(corpus_mod.tokenize(text), stores, spec, idf)
+        except EmptyTextError as exc:
+            raise EmptyTextError(f"{name}: {exc}") from None
+
+    return compose
 
 
 # --- commands ---
@@ -176,8 +184,8 @@ def cmd_train(args) -> int:
     docs = corpus_mod.load_corpus(cfg.corpus)
     pairs = corpus_mod.load_qa_pairs(cfg.qa_pairs, docs)
     compose = _load_composer(cfg.stores, cfg.spec, cfg.idf, docs)
-    doc_matrices = {d.id: compose(d.text) for d in docs}
-    query_matrices = {p.query_id: compose(p.query_text) for p in pairs}
+    doc_matrices = {d.id: compose(d.text, f"document {d.id!r}") for d in docs}
+    query_matrices = {p.query_id: compose(p.query_text, f"query {p.query_id!r}") for p in pairs}
     del compose  # frees the stores before training
     train_cfg = TrainConfig(**cfg.train, adam=AdamConfig(**cfg.adam), loss=LossConfig(**cfg.loss))
     result = train(pairs, query_matrices, doc_matrices, encoder_kind=cfg.encoder, cfg=train_cfg)
@@ -200,7 +208,7 @@ def cmd_index(args) -> int:
         raise ParseError("no index output path (--out or 'index' config key)")
     docs = corpus_mod.load_corpus(cfg.corpus)
     compose = _load_composer(cfg.stores, cfg.spec, cfg.idf, docs)
-    doc_matrices = [compose(d.text) for d in docs]
+    doc_matrices = [compose(d.text, f"document {d.id!r}") for d in docs]
     del compose  # frees the stores before encoding
     params, _ = read_checkpoint(cfg.checkpoint)
     encoded = encode_texts(doc_matrices, params)
@@ -221,8 +229,8 @@ def cmd_search(args) -> int:
     compose = _load_composer(cfg.stores, cfg.spec, cfg.idf, docs)
     params, _ = read_checkpoint(cfg.checkpoint)
     stored = read_context_free_store(cfg.index, "index")
-    index = build_index(list(zip(stored.index, stored.rows[:, 0])))
-    vec = encode_texts([compose(args.query)], params)[0]
+    index = RetrievalIndex(tuple(stored.index), stored.rows[:, 0])
+    vec = encode_texts([compose(args.query, f"query {args.query!r}")], params)[0]
     for doc_id, dist in search(index, vec, args.k):
         print(f"{doc_id}\t{dist!r}")
     return 0
@@ -238,11 +246,14 @@ def cmd_eval(args) -> int:
     docs = corpus_mod.load_corpus(cfg.corpus)
     pairs = corpus_mod.load_qa_pairs(cfg.qa_pairs, docs)
     compose = _load_composer(cfg.stores, cfg.spec, cfg.idf, docs)
-    doc_matrices = [(d.id, compose(d.text)) for d in docs]
-    query_matrices = [(p.query_id, compose(p.query_text)) for p in pairs]
+    doc_matrices = [(d.id, compose(d.text, f"document {d.id!r}")) for d in docs]
+    gold: dict[str, list[str]] = {}  # a query id has one line per positive document
+    for p in pairs:
+        gold.setdefault(p.query_id, []).append(p.positive_doc_id)
+    texts = {p.query_id: p.query_text for p in pairs}
+    query_matrices = [(qid, compose(text, f"query {qid!r}")) for qid, text in texts.items()]
     del compose  # frees the stores before encoding
     params, _ = read_checkpoint(cfg.checkpoint)
-    gold = {p.query_id: p.positive_doc_id for p in pairs}
     report = evaluate(params, query_matrices, doc_matrices, cfg.ks, gold)
     with atomic_write(cfg.report) as fh:
         fh.write(f"{report.to_json()}\n".encode("utf-8"))

@@ -83,10 +83,10 @@ def load_idf(path: str) -> IdfTable:
         header = fh.readline().rstrip("\n")
         if not header.startswith("#N="):
             raise ParseError("idf file must start with '#N=<num_documents>'", line=1)
-        try:
-            n = int(header[3:])
-        except ValueError:
-            raise ParseError(f"bad document count {header[3:]!r}", line=1) from None
+        count = header[3:]
+        if not count.isdecimal() or int(count) < 1:
+            raise ParseError(f"document count {count!r} is not an integer >= 1", line=1)
+        n = int(count)
         entries: dict[str, tuple[int, float]] = {}
         for lineno, line in enumerate(fh, start=2):
             line = line.rstrip("\n")
@@ -95,6 +95,8 @@ def load_idf(path: str) -> IdfTable:
             parts = line.split("\t")
             if len(parts) != 3:
                 raise ParseError("expected token<TAB>df<TAB>idf", line=lineno)
+            if parts[0] in entries:
+                raise ParseError(f"token {parts[0]!r} is listed twice", line=lineno)
             try:
                 df, idf = int(parts[1]), float(parts[2])
             except ValueError as exc:

@@ -1,7 +1,8 @@
 """Mixture and ensemble specifications, plus their config-file parser.
 
 Config files are line-oriented key=value with '#' comments. Mixtures are
-numbered 1..n and consumed in order:
+numbered 1..n and consumed in order. Each key is read through the
+parser table below; any other key is a ParseError at its line.
 
     ensemble.aggregator=concatenate
     ensemble.weights=1,1,1
@@ -88,78 +89,62 @@ class EnsembleSpec:
         )
 
 
-def _parse_bool(value: str, lineno: int) -> bool:
-    lowered = value.strip().lower()
-    if lowered in ("true", "1", "yes"):
-        return True
-    if lowered in ("false", "0", "no"):
-        return False
-    raise ParseError(f"expected boolean, got {value!r}", line=lineno)
+_BOOLEANS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
 
-def _parse_floats(value: str, lineno: int) -> tuple[float, ...]:
-    try:
-        return tuple(float(part) for part in value.split(","))
-    except ValueError:
-        raise ParseError(f"expected comma-separated reals, got {value!r}", line=lineno) from None
+def _parse_bool(value: str) -> bool:
+    return _BOOLEANS[value.lower()]
+
+
+def _parse_floats(value: str) -> tuple[float, ...]:
+    return tuple(float(part) for part in value.split(","))
+
+
+# Spec key -> parser, which raises KeyError or ValueError on a bad value.
+# Mixture keys are MixtureSpec's keywords, except "model" for model_id.
+_ENSEMBLE_KEYS = {"aggregator": str, "weights": _parse_floats}
+_MIXTURE_KEYS = {
+    "model": str,
+    "weights": _parse_floats,
+    "aggregator": str,
+    "use_idf": _parse_bool,
+    "scale_segments": _parse_bool,
+}
 
 
 def parse_spec_file(path: str) -> EnsembleSpec:
     """Parse an ensemble/mixture config; errors carry exact line numbers."""
-    ensemble_fields: dict[str, tuple[str, int]] = {}
-    mixture_fields: dict[int, dict[str, tuple[str, int]]] = {}
+    ensemble: dict[str, object] = {}
+    mixtures: dict[int, dict[str, object]] = {}
     with open_text(path) as fh:
         for lineno, key, value in key_value_lines(fh):
             parts = key.split(".")
-            if parts[0] == "ensemble" and len(parts) == 2:
-                ensemble_fields[parts[1]] = (value, lineno)
-            elif parts[0] == "mixture" and len(parts) == 3:
-                try:
-                    index = int(parts[1])
-                except ValueError:
-                    raise ParseError(f"bad mixture index in {key!r}", line=lineno) from None
-                mixture_fields.setdefault(index, {})[parts[2]] = (value, lineno)
+            if len(parts) == 2 and parts[0] == "ensemble":
+                fields, table = ensemble, _ENSEMBLE_KEYS
+            elif len(parts) == 3 and parts[0] == "mixture" and parts[1].isdecimal():
+                fields, table = mixtures.setdefault(int(parts[1]), {}), _MIXTURE_KEYS
             else:
+                table = {}
+            if parts[-1] not in table:
                 raise ParseError(f"unknown key {key!r}", line=lineno)
+            try:
+                fields[parts[-1]] = table[parts[-1]](value)
+            except (KeyError, ValueError):
+                raise ParseError(f"bad value {value!r} for key {key!r}", line=lineno) from None
 
-    if "aggregator" not in ensemble_fields:
-        raise SpecError(f"{path}: missing ensemble.aggregator")
-    if "weights" not in ensemble_fields:
-        raise SpecError(f"{path}: missing ensemble.weights")
-    if not mixture_fields:
+    for required in ("aggregator", "weights"):
+        if required not in ensemble:
+            raise SpecError(f"{path}: missing ensemble.{required}")
+    if not mixtures:
         raise SpecError(f"{path}: no mixtures defined")
-
-    indices = sorted(mixture_fields)
+    indices = sorted(mixtures)
     if indices != list(range(1, len(indices) + 1)):
         raise SpecError(f"{path}: mixture indices must be 1..n, got {indices}")
-
-    mixtures = []
+    specs = []
     for index in indices:
-        fields = mixture_fields[index]
+        fields = mixtures[index]
         for required in ("model", "weights", "aggregator"):
             if required not in fields:
                 raise SpecError(f"{path}: mixture.{index} missing {required!r}")
-        value, lineno = fields["weights"]
-        weights = _parse_floats(value, lineno)
-        use_idf = False
-        if "use_idf" in fields:
-            use_idf = _parse_bool(*fields["use_idf"])
-        scale_segments = True
-        if "scale_segments" in fields:
-            scale_segments = _parse_bool(*fields["scale_segments"])
-        mixtures.append(
-            MixtureSpec(
-                model_id=fields["model"][0],
-                weights=weights,
-                aggregator=fields["aggregator"][0],
-                use_idf=use_idf,
-                scale_segments=scale_segments,
-            )
-        )
-
-    raw_weights = _parse_floats(*ensemble_fields["weights"])
-    return EnsembleSpec.normalized(
-        mixtures=tuple(mixtures),
-        raw_weights=raw_weights,
-        aggregator=ensemble_fields["aggregator"][0],
-    )
+        specs.append(MixtureSpec(model_id=fields.pop("model"), **fields))
+    return EnsembleSpec.normalized(tuple(specs), ensemble["weights"], ensemble["aggregator"])

@@ -1,5 +1,7 @@
 """Immutable document index, exact top-k search, recall@k evaluation.
 
+An index is built from the (n, d'') block its caller holds, or stacked
+from (id, vector) pairs by ``build_index``; its one constructor checks it.
 Search ranks through ``encoder.nearest``: one GEMM estimates every
 distance, and only the rows whose estimate lies within a derived error
 bound of the k-th are recomputed with the elementwise sums. The result is
@@ -10,8 +12,9 @@ insertion order. Evaluation ranks its queries in blocks the same way.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Collection, Mapping, Sequence
 
 import numpy as np
 
@@ -29,16 +32,31 @@ UNIT_TOL = 1e-6
 
 @dataclass(frozen=True)
 class RetrievalIndex:
+    """Unique ids, one finite unit row each; ``vectors`` is kept as given, not copied."""
+
     ids: tuple[str, ...]
     vectors: np.ndarray  # (n, d''), unit rows
     sq_norms: np.ndarray = field(init=False, repr=False, compare=False)  # float64, for nearest
 
     def __post_init__(self):
-        object.__setattr__(self, "sq_norms", row_sq_norms(self.vectors))
-
-    @property
-    def dim(self) -> int:
-        return self.vectors.shape[1]
+        ids, vectors = self.ids, self.vectors
+        if not ids:
+            raise EmptyIndexError("cannot build an index from zero documents")
+        if vectors.ndim != 2 or vectors.shape[0] != len(ids):
+            raise ShapeError(f"vectors of shape {vectors.shape} for {len(ids)} document ids")
+        if len(set(ids)) != len(ids):
+            duplicate = next(d for d, n in Counter(ids).items() if n > 1)
+            raise DuplicateIdError(f"duplicate document id {duplicate!r}")
+        finite = np.isfinite(vectors).all(axis=1)
+        if not finite.all():
+            raise ContractError(f"vector for {ids[np.flatnonzero(~finite)[0]]!r} is non-finite")
+        norms = np.linalg.norm(vectors, axis=1)
+        bad = np.flatnonzero(np.abs(norms - 1.0) > UNIT_TOL)
+        if bad.size:
+            raise ContractError(
+                f"vector for {ids[bad[0]]!r} has norm {float(norms[bad[0]])!r}, expected unit"
+            )
+        object.__setattr__(self, "sq_norms", row_sq_norms(vectors))
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -58,46 +76,27 @@ class EvalReport:
 
 
 def build_index(docs: Sequence[tuple[str, np.ndarray]]) -> RetrievalIndex:
-    """Stack (doc_id, unit vector) pairs preserving insertion order."""
+    """Stack (doc_id, unit vector) pairs, in order, into a RetrievalIndex."""
     if not docs:
         raise EmptyIndexError("cannot build an index from zero documents")
-    ids = []
-    seen: set[str] = set()
-    dim = docs[0][1].shape[0]
-    for doc_id, vec in docs:
-        if doc_id in seen:
-            raise DuplicateIdError(f"duplicate document id {doc_id!r}")
-        seen.add(doc_id)
-        if vec.ndim != 1 or vec.shape[0] != dim:
-            raise ShapeError(f"vector for {doc_id!r} has shape {vec.shape}, expected ({dim},)")
-        ids.append(doc_id)
-    vectors = np.stack([vec for _, vec in docs])
-    finite = np.isfinite(vectors).all(axis=1)
-    if not finite.all():
-        raise ContractError(f"vector for {ids[np.flatnonzero(~finite)[0]]!r} is non-finite")
-    norms = np.linalg.norm(vectors, axis=1)
-    bad = np.where(np.abs(norms - 1.0) > UNIT_TOL)[0]
-    if bad.size:
-        raise ContractError(
-            f"vector for {ids[bad[0]]!r} has norm {norms[bad[0]]!r}, expected unit"
-        )
-    return RetrievalIndex(ids=tuple(ids), vectors=vectors)
+    ids, vectors = zip(*docs)
+    try:
+        stacked = np.stack(vectors)
+    except ValueError as exc:
+        raise ShapeError(f"document vectors do not stack: {exc}") from None
+    return RetrievalIndex(ids, stacked)
 
 
 def search(index: RetrievalIndex, query: np.ndarray, k: int) -> list[tuple[str, float]]:
     """Top-min(k, n) entries by ascending squared distance, ties by index order."""
-    if k < 1:
-        raise ShapeError(f"k must be >= 1, got {k}")
-    if query.ndim != 1 or query.shape[0] != index.dim:
-        raise ShapeError(f"query shape {query.shape} does not match index dim {index.dim}")
     ranked, dists = nearest(query[None], index.vectors, k, sq_norms=index.sq_norms)
     return [(index.ids[i], d) for i, d in zip(ranked[0].tolist(), dists[0].tolist())]
 
 
 def recall_at_k(
-    rankings: Mapping[str, Sequence[str]], gold: Mapping[str, str], k: int
+    rankings: Mapping[str, Sequence[str]], gold: Mapping[str, str | Collection[str]], k: int
 ) -> float:
-    """Fraction of queries whose gold document appears in their top-k."""
+    """Fraction of queries with a gold document in their top-k; gold is an id or a collection."""
     if k < 1:
         raise ShapeError(f"k must be >= 1, got {k}")
     if not rankings:
@@ -106,7 +105,8 @@ def recall_at_k(
     for qid, ranked in rankings.items():
         if qid not in gold:
             raise IntegrityError(f"query {qid!r} has no gold document")
-        if gold[qid] in list(ranked)[:k]:
+        positives = {gold[qid]} if isinstance(gold[qid], str) else set(gold[qid])
+        if not positives.isdisjoint(list(ranked)[:k]):
             hits += 1
     return hits / len(rankings)
 
@@ -116,7 +116,7 @@ def evaluate(
     queries: Sequence[tuple[str, np.ndarray]],
     docs: Sequence[tuple[str, np.ndarray]],
     ks: Sequence[int],
-    gold: Mapping[str, str],
+    gold: Mapping[str, str | Collection[str]],
     candidates: Mapping[str, Sequence[str]] | None = None,
 ) -> EvalReport:
     """Encode texts with shared parameters, search, aggregate recall per k.
@@ -124,19 +124,22 @@ def evaluate(
     ``params`` is a ConvRRParams/FCRRParams object, or None for the
     mean-embedding baseline. ``candidates`` optionally restricts each
     query's search to a per-query document list (candidate-list mode);
-    the default searches the full corpus.
+    the default searches the full corpus. Each query id appears once in
+    ``queries``; its ``gold`` is one document id or a collection of them.
     """
     if not ks:
         raise IntegrityError("no k values requested")
     ks = sorted(set(int(k) for k in ks))
     if ks[0] < 1:
         raise ShapeError(f"k must be >= 1, got {ks[0]}")
-    doc_ids = [doc_id for doc_id, _ in docs]
-    index = build_index(list(zip(doc_ids, _encode_all([m for _, m in docs], params))))
+    repeated = [qid for qid, n in Counter(qid for qid, _ in queries).items() if n > 1]
+    if repeated:
+        raise IntegrityError(f"query id {repeated[0]!r} repeats; give it once, with all its gold")
+    index = RetrievalIndex(tuple(d for d, _ in docs), _encode_all([m for _, m in docs], params))
     query_vecs = _encode_all([m for _, m in queries], params)
 
     max_k = max(ks)
-    ranked: list[list[str]] = [[] for _ in queries]
+    rankings: dict[str, list[str]] = {}
     pos = {d: i for i, d in enumerate(index.ids)}
     full = []
     for row, (qid, _) in enumerate(queries):
@@ -148,12 +151,11 @@ def evaluate(
         if missing:
             raise IntegrityError(f"candidate {missing[0]!r} for query {qid!r} not indexed")
         sub = RetrievalIndex(ids=tuple(wanted), vectors=index.vectors[[pos[d] for d in wanted]])
-        ranked[row] = [doc_id for doc_id, _ in search(sub, query_vecs[row], max_k)]
+        rankings[qid] = [doc_id for doc_id, _ in search(sub, query_vecs[row], max_k)]
     if full:
         top, _ = nearest(query_vecs[full], index.vectors, max_k, sq_norms=index.sq_norms)
         for row, picks in zip(full, top.tolist()):
-            ranked[row] = [index.ids[i] for i in picks]
-    rankings = {qid: ranked[row] for row, (qid, _) in enumerate(queries)}
+            rankings[queries[row][0]] = [index.ids[i] for i in picks]
 
     recalls = {k: recall_at_k(rankings, gold, k) for k in ks}
     return EvalReport(num_queries=len(queries), recalls=recalls)

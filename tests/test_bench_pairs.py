@@ -6,6 +6,8 @@ import os
 
 import pytest
 
+from multires import fileio
+
 _PATH = os.path.join(os.path.dirname(__file__), "..", "tools", "bench_pairs.py")
 _spec = importlib.util.spec_from_file_location("bench_pairs", _PATH)
 bench_pairs = importlib.util.module_from_spec(_spec)
@@ -97,6 +99,7 @@ def test_a_parent_spread_wider_than_the_bound_is_unresolved():
 
 
 def test_write_atomic_keeps_the_old_file_when_writing_fails(tmp_path, monkeypatch):
+    assert bench_pairs.atomic_write is fileio.atomic_write
     out = tmp_path / "BENCH_x.json"
     bench_pairs.write_atomic(str(out), '{"a": 1}\n')
     assert out.read_text() == '{"a": 1}\n'
@@ -104,7 +107,7 @@ def test_write_atomic_keeps_the_old_file_when_writing_fails(tmp_path, monkeypatc
     def broken_fsync(fd):
         raise OSError("disk full")
 
-    monkeypatch.setattr(bench_pairs.os, "fsync", broken_fsync)
+    monkeypatch.setattr(fileio.os, "fsync", broken_fsync)
     with pytest.raises(OSError, match="disk full"):
         bench_pairs.write_atomic(str(out), '{"a": 2}\n')
     assert out.read_text() == '{"a": 1}\n'

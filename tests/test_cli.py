@@ -101,6 +101,37 @@ class TestTrainEval:
         expected = evaluate(params, query_ms, doc_ms, [1, 3], gold)
         assert report["recall"] == {str(k): v for k, v in expected.recalls.items()}
 
+    def test_eval_counts_a_repeated_query_id_once_with_all_its_positives(self, cli_workspace):
+        # query0 gets a line for every document, so it hits at k=1 whatever it ranks first
+        ws = cli_workspace
+        assert main(["train", "--config", str(ws["config"])]) == 0
+        docs = corpus_mod.load_corpus(str(ws["corpus"]))
+        first = json.loads(ws["pairs"].read_text().splitlines()[0])
+        extra = [{**first, "positive_doc_id": d.id} for d in docs[1:]]
+        with open(ws["pairs"], "a", encoding="utf-8") as fh:
+            fh.write("".join(json.dumps(row) + "\n" for row in extra))
+        assert main(["eval", "--config", str(ws["config"])]) == 0
+        report = json.loads(ws["report"].read_text())
+
+        pairs = corpus_mod.load_qa_pairs(str(ws["pairs"]), docs)
+        stores = {"toy": read_context_free_store(str(ws["store"]), "toy")}
+        spec = parse_spec_file(str(ws["spec"]))
+        idf = corpus_mod.build_idf(docs)
+        doc_ms = [
+            (d.id, compose_text(corpus_mod.tokenize(d.text), stores, spec, idf)) for d in docs
+        ]
+        query_ms = [
+            (p.query_id, compose_text(corpus_mod.tokenize(p.query_text), stores, spec, idf))
+            for p in pairs[: len(docs)]
+        ]
+        gold = {p.query_id: [p.positive_doc_id] for p in pairs[1:len(docs)]}
+        gold["query0"] = [d.id for d in docs]
+        params, _ = read_checkpoint(str(ws["checkpoint"]))
+        expected = evaluate(params, query_ms, doc_ms, [1, 3], gold)
+        assert report == {
+            "num_queries": len(docs), "recall": {str(k): v for k, v in expected.recalls.items()}
+        }
+
     def test_checkpoint_dim_follows_the_dimension_law(self, cli_workspace):
         # train encodes the rows it composes in-process, so the encoder's width is d''
         ws = cli_workspace
@@ -249,12 +280,65 @@ class TestIndexSearch:
         assert "search needs an 'idf' or 'corpus' key" in capsys.readouterr().err
 
 
+class TestUnresolvableText:
+    """A text with no token in any store ends the command with exit 2 and its name."""
+
+    def _config_with(self, ws, key, row):
+        path = ws["dir"] / f"more-{key}.jsonl"
+        path.write_text(ws[key].read_text() + json.dumps(row) + "\n")
+        config = ws["dir"] / f"more-{key}.cfg"
+        name = "corpus" if key == "corpus" else "qa_pairs"
+        config.write_text(ws["config"].read_text() + f"{name}={path}\n")
+        return config
+
+    @pytest.mark.parametrize("command", ["train", "index", "eval"])
+    def test_the_document_is_named(self, cli_workspace, capsys, command):
+        ws = cli_workspace
+        assert main(["train", "--config", str(ws["config"])]) == 0
+        config = self._config_with(ws, "corpus", {"id": "docZ", "text": "zzz qqq"})
+        capsys.readouterr()
+        assert main([command, "--config", str(config)]) == 2
+        assert "error: document 'docZ': no token of the text resolves" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_the_query_is_named(self, cli_workspace, capsys, command):
+        ws = cli_workspace
+        assert main(["train", "--config", str(ws["config"])]) == 0
+        row = {"query_id": "queryZ", "query_text": "zzz", "positive_doc_id": "doc0"}
+        config = self._config_with(ws, "pairs", row)
+        capsys.readouterr()
+        assert main([command, "--config", str(config)]) == 2
+        assert "error: query 'queryZ': no token of the text resolves" in capsys.readouterr().err
+
+    def test_search_names_its_query(self, cli_workspace, capsys):
+        ws = cli_workspace
+        assert main(["train", "--config", str(ws["config"])]) == 0
+        assert main(["index", "--config", str(ws["config"])]) == 0
+        capsys.readouterr()
+        assert main(["search", "--config", str(ws["config"]), "zzz qqq"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: query 'zzz qqq': no token of the text resolves" in captured.err
+
+
 class TestInputErrors:
     def test_corpus_not_utf8_exit_2(self, tmp_path, capsys):
         corpus = tmp_path / "c.jsonl"
         corpus.write_bytes(b'{"id": "a", "text": "caf\xe9"}\n')
         assert main(["build-idf", str(corpus), str(tmp_path / "idf.tsv")]) == 2
         assert "c.jsonl is not valid UTF-8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "idf, line",
+        [("#N=0\n", 1), (f"#N=2\nitem1\t1\t{math.log(2)!r}\nitem1\t1\t{math.log(2)!r}\n", 3)],
+    )
+    def test_unusable_idf_file_exit_2(self, cli_workspace, capsys, idf, line):
+        path = cli_workspace["dir"] / "idf.tsv"
+        path.write_text(idf)
+        config = cli_workspace["dir"] / "idf.cfg"
+        config.write_text(cli_workspace["config"].read_text() + f"idf={path}\n")
+        assert main(["train", "--config", str(config)]) == 2
+        assert f"error: line {line}: " in capsys.readouterr().err
 
     def test_store_token_not_utf8_exit_2(self, cli_workspace, capsys):
         body = struct.pack("<IHII", 1, 2, 4, 2) + b"\xff\0" + np.zeros(8, "<f4").tobytes()

@@ -121,6 +121,22 @@ class TestIdfRoundTrip:
         with pytest.raises(ParseError):
             load_idf(str(path))
 
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_document_count_below_one_rejected(self, tmp_path, count):
+        path = tmp_path / "idf.tsv"
+        path.write_text(f"#N={count}\n")
+        with pytest.raises(ParseError, match="not an integer >= 1") as err:
+            load_idf(str(path))
+        assert err.value.line == 1
+
+    def test_token_listed_twice_rejected_at_its_second_line(self, tmp_path):
+        ln2 = repr(math.log(2))
+        path = tmp_path / "idf.tsv"
+        path.write_text(f"#N=2\na\t1\t{ln2}\nb\t1\t{ln2}\na\t2\t0.0\n")
+        with pytest.raises(ParseError, match="'a' is listed twice") as err:
+            load_idf(str(path))
+        assert err.value.line == 4
+
 
 class TestLoaders:
     def test_load_corpus_and_pairs(self, tmp_path):

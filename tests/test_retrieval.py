@@ -1,6 +1,7 @@
 """Index construction, exact search, recall@k, and evaluation."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -13,7 +14,14 @@ from multires.errors import (
     ShapeError,
 )
 from multires.model import init_convrr_params, zero_convrr_params
-from multires.retrieval import EvalReport, build_index, evaluate, recall_at_k, search
+from multires.retrieval import (
+    EvalReport,
+    RetrievalIndex,
+    build_index,
+    evaluate,
+    recall_at_k,
+    search,
+)
 
 
 def unit(v):
@@ -49,6 +57,41 @@ class TestBuildIndex:
         with pytest.raises(ContractError):
             build_index([("a", np.array([2.0, 0.0]))])
 
+
+class TestRetrievalIndex:
+    """The one constructor checks every index, whoever builds it."""
+
+    def test_keeps_a_read_only_block_without_copying(self):
+        block = np.eye(3, dtype=np.float32)
+        block.flags.writeable = False
+        index = RetrievalIndex(("a", "b", "c"), block)
+        assert index.vectors is block
+        assert [d for d, _ in search(index, block[1], k=1)] == ["b"]
+
+    def test_empty_rejected(self):
+        with pytest.raises(EmptyIndexError):
+            RetrievalIndex((), np.zeros((0, 3)))
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 3), (4, 3), (3, 1, 3)])
+    def test_block_that_is_not_one_row_per_id_rejected(self, shape):
+        with pytest.raises(ShapeError, match=re.escape(f"vectors of shape {shape} for 3")):
+            RetrievalIndex(("a", "b", "c"), np.ones(shape))
+
+    def test_first_duplicate_id_named(self):
+        with pytest.raises(DuplicateIdError, match="duplicate document id 'b'"):
+            RetrievalIndex(("a", "b", "b", "c", "c"), np.eye(5))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_first_non_finite_row_named(self, bad):
+        block = np.eye(3)
+        block[1:, 0] = bad
+        with pytest.raises(ContractError, match="vector for 'b' is non-finite"):
+            RetrievalIndex(("a", "b", "c"), block)
+
+    def test_first_non_unit_row_named(self):
+        block = np.eye(3) * [[1.0], [2.0], [3.0]]
+        with pytest.raises(ContractError, match="vector for 'b' has norm 2.0, expected unit"):
+            RetrievalIndex(("a", "b", "c"), block)
 
 class TestSearch:
     def test_exact_match_first(self, rng):
@@ -121,6 +164,14 @@ class TestRecallAtK:
         with pytest.raises(IntegrityError):
             recall_at_k({"q1": ["a"]}, {}, 1)
 
+    def test_gold_may_be_a_collection_of_ids(self):
+        rankings = {"q1": ["a", "b", "c"], "q2": ["c", "d", "e"], "q3": ["f", "g"]}
+        gold = {"q1": ["x", "b"], "q2": ("e",), "q3": "f"}
+        assert recall_at_k(rankings, gold, 1) == 1 / 3
+        assert recall_at_k(rankings, gold, 2) == 2 / 3
+        assert recall_at_k(rankings, gold, 3) == 1.0
+        assert recall_at_k(rankings, {"q1": [], "q2": [], "q3": []}, 3) == 0.0
+
     def test_monotone_in_k(self, rng):
         docs = [f"d{i}" for i in range(10)]
         rankings = {}
@@ -173,6 +224,26 @@ class TestEvaluate:
         full = evaluate(None, queries, docs, [1], gold)
         restricted = evaluate(None, queries, docs, [1], gold, candidates=candidates)
         assert restricted.recalls[1] <= full.recalls[1]
+
+    def test_a_query_with_two_positives_counts_once(self):
+        # q0's positives are d0 and d1, and its top-1 is d0; q1's is d2
+        rows = np.array([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 0.1, 0]], dtype=np.float32)[:, None]
+        docs = [("d0", rows[0]), ("d1", rows[1]), ("d2", rows[2])]
+        queries = [("q0", rows[3]), ("q1", rows[2])]
+        report = evaluate(None, queries, docs, [1], {"q0": ["d0", "d1"], "q1": "d2"})
+        assert report.num_queries == 2
+        assert report.recalls == {1: 1.0}
+
+    def test_repeated_query_id_rejected(self):
+        m = np.ones((1, 3), dtype=np.float32)
+        queries = [("q0", m), ("q1", m), ("q0", m)]
+        with pytest.raises(IntegrityError, match="query id 'q0' repeats"):
+            evaluate(None, queries, [("d0", m)], [1], {"q0": "d0", "q1": "d0"})
+
+    def test_candidate_list_with_a_repeated_document_rejected(self, rng):
+        queries, docs, gold = self._clustered(rng)
+        with pytest.raises(DuplicateIdError, match="'d1'"):
+            evaluate(None, queries, docs, [1], gold, candidates={"q0": ["d1", "d1"]})
 
     def test_unknown_candidate_rejected(self, rng):
         queries, docs, gold = self._clustered(rng)

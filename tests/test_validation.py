@@ -70,6 +70,27 @@ class TestSpecFileValidation:
         with pytest.raises(SpecError, match="1..n"):
             parse_spec_file(path)
 
+    def test_misspelled_mixture_key_rejected(self, tmp_path):
+        path = self._write(
+            tmp_path,
+            "ensemble.aggregator=sum\nensemble.weights=1\n"
+            "mixture.1.model=m\nmixture.1.weights=1\nmixture.1.aggregator=sum\n"
+            "mixture.1.useidf=true\n",
+        )
+        with pytest.raises(ParseError, match="unknown key 'mixture.1.useidf'") as err:
+            parse_spec_file(path)
+        assert err.value.line == 6
+
+    def test_misspelled_ensemble_key_rejected(self, tmp_path):
+        path = self._write(
+            tmp_path,
+            "ensemble.aggregator=sum\nensemble.weights=1\nensemble.wieghts=3\n"
+            "mixture.1.model=m\nmixture.1.weights=1\nmixture.1.aggregator=sum\n",
+        )
+        with pytest.raises(ParseError, match="unknown key 'ensemble.wieghts'") as err:
+            parse_spec_file(path)
+        assert err.value.line == 3
+
     def test_bad_weights_carry_line(self, tmp_path):
         path = self._write(
             tmp_path,

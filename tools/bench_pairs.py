@@ -37,13 +37,15 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import secrets
 import statistics
 import subprocess
 import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+from multires.fileio import atomic_write  # noqa: E402  (this checkout's package)
+
 MIN_CLAIM_PAIRS = 10  # fewer pairs than this never make a clear gain
 
 
@@ -166,22 +168,9 @@ def extract(rev: str, into: str) -> str:
 
 
 def write_atomic(path: str, text: str) -> None:
-    """Replace ``path`` with ``text`` only once all of it is on disk.
-
-    The temp file sits beside ``path``, so the rename stays on one file
-    system; exclusive creation gives it the mode a plain ``open`` would.
-    """
-    tmp = f"{path}.{secrets.token_hex(8)}.tmp"
-    fh = open(tmp, "x", encoding="utf-8")
-    try:
-        with fh:
-            fh.write(text)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+    """Replace ``path`` with ``text`` only once all of it is on disk (``fileio.atomic_write``)."""
+    with atomic_write(path) as fh:
+        fh.write(text.encode("utf-8"))
 
 
 def main(argv=None) -> int:
