@@ -50,7 +50,10 @@ def read_checkpoint(path: str):
 
     Tensors are copied out of the file's read-only map, so they are
     writable; at their unaligned offsets, BLAS would also copy each weight
-    again on every forward pass.
+    again on every forward pass. Each conv kernel is copied once, straight
+    into the GEMM-major memory order ``ConvBlock`` keeps, so building the
+    block copies it no second time; the bytes written back are the same
+    in either order.
     """
     (kind_code, depth, window, scale, dim), body = read_frame(path, CRR_MAGIC, _VERSION, _HEAD)
     if kind_code not in _KIND_NAMES:
@@ -65,7 +68,11 @@ def read_checkpoint(path: str):
         offset = start + 4 * math.prod(shape)
         if offset > len(body):
             raise FormatError(f"truncated file: tensor {shape} runs past the end")
-        tensors.append(np.ndarray(shape, "<f4", body, start).copy())
+        tensor = np.ndarray(shape, "<f4", body, start)
+        if ndim == 3:  # conv kernels: one copy, straight into ConvBlock's GEMM-major order
+            tensors.append(tensor.transpose(1, 2, 0).copy().transpose(2, 0, 1))
+        else:
+            tensors.append(tensor.copy())
     if offset != len(body):
         raise FormatError("trailing bytes before checksum")
     try:

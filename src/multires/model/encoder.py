@@ -33,8 +33,13 @@ MAX_DEPTH = 4
 
 @dataclass
 class ConvBlock:
+    # Kernels sit in memory as (ws, d_in, n_k), so conv_forward's GEMM operand is a free view.
     kernels: np.ndarray  # (n_k, ws, d_in); n_k == d_in == d''
     bias: np.ndarray     # (n_k,)
+
+    def __post_init__(self):
+        if self.kernels.ndim == 3:  # copies only kernels in another order
+            self.kernels = np.ascontiguousarray(self.kernels.transpose(1, 2, 0)).transpose(2, 0, 1)
 
 
 @dataclass

@@ -8,6 +8,7 @@ one seed are bitwise identical.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -58,7 +59,7 @@ def train(
     encoder_kind: str = "convrr",
     cfg: TrainConfig = TrainConfig(),
 ) -> TrainResult:
-    """Train the encoder on (query, positive document) pairs.
+    """Train the encoder on (query, positive document) pairs, one pair per query id.
 
     Per iteration: sample a batch without replacement (reshuffling once the
     pool is exhausted), encode queries and documents with shared parameters,
@@ -76,6 +77,12 @@ def train(
             raise IntegrityError(f"no text matrix for query {pair.query_id!r}")
         if pair.positive_doc_id not in doc_matrices:
             raise IntegrityError(f"no text matrix for document {pair.positive_doc_id!r}")
+    # mining excludes one gold column per anchor, so a query's other positive could be its negative
+    repeated = [qid for qid, n in Counter(p.query_id for p in pairs).items() if n > 1]
+    if repeated:
+        raise IntegrityError(
+            f"query id {repeated[0]!r} repeats; train takes one positive document per query"
+        )
 
     queries = {qid: np.asarray(m, dtype=np.float32) for qid, m in query_matrices.items()}
     docs = {did: np.asarray(m, dtype=np.float32) for did, m in doc_matrices.items()}

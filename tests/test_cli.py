@@ -132,6 +132,15 @@ class TestTrainEval:
             "num_queries": len(docs), "recall": {str(k): v for k, v in expected.recalls.items()}
         }
 
+    def test_train_rejects_a_repeated_query_id(self, cli_workspace, capsys):
+        ws = cli_workspace
+        first = json.loads(ws["pairs"].read_text().splitlines()[0])
+        with open(ws["pairs"], "a", encoding="utf-8") as fh:
+            fh.write(json.dumps({**first, "positive_doc_id": "doc1"}) + "\n")
+        assert main(["train", "--config", str(ws["config"])]) == 2
+        assert "error: query id 'query0' repeats" in capsys.readouterr().err
+        assert not ws["checkpoint"].exists() and not ws["loss_trace"].exists()
+
     def test_checkpoint_dim_follows_the_dimension_law(self, cli_workspace):
         # train encodes the rows it composes in-process, so the encoder's width is d''
         ws = cli_workspace

@@ -1,4 +1,4 @@
-"""Convolution kernel contract: oracle match, batch axis, linearity."""
+"""Convolution kernel contract: oracle match, batch axis, linearity, bits of tensordot kernels."""
 
 import numpy as np
 import pytest
@@ -135,3 +135,88 @@ def test_batched_kernels_match_per_text_results(rng):
     assert np.allclose(gx, np.stack([p[0] for p in per_text]), atol=1e-12, rtol=0)
     assert np.allclose(gw, sum(p[1] for p in per_text), atol=1e-12, rtol=0)
     assert np.allclose(gb, sum(p[2] for p in per_text), atol=1e-12, rtol=0)
+
+
+def sliding_windows(x, ws):
+    """(B, k, d, ws) view of each position's zero-padded window, as tensordot reads it."""
+    pad = (ws - 1) // 2
+    xp = np.zeros((x.shape[0], x.shape[1] + 2 * pad, x.shape[2]), dtype=x.dtype)
+    xp[:, pad:pad + x.shape[1]] = x
+    return np.lib.stride_tricks.sliding_window_view(xp, ws, axis=1)
+
+
+def tensordot_window_block(x, ws):
+    """The C-order (B*k, ws*d) window block ``np.tensordot`` builds for the forward."""
+    batch, k, d = x.shape
+    return sliding_windows(x, ws).transpose(0, 1, 3, 2).reshape(batch * k, ws * d)
+
+
+def tensordot_conv_forward(x, w, b):
+    """The conv forward as ``np.tensordot`` over a sliding window view."""
+    return np.tensordot(sliding_windows(x, w.shape[1]), w, axes=([3, 2], [1, 2])) + b
+
+
+def tensordot_conv_backward(x, w, g):
+    """Its gradients through ``np.tensordot`` on C-order kernels, with a C-order ``gw``."""
+    batch, k, d = x.shape
+    ws = w.shape[1]
+    pad = (ws - 1) // 2
+    gw = np.tensordot(g, sliding_windows(x, ws), axes=([0, 1], [0, 1]))  # (n_k, d, ws)
+    gwin = np.tensordot(g, w, axes=([2], [0]))  # (B, k, ws, d)
+    gxp = np.zeros((batch, k + 2 * pad, d), dtype=x.dtype)
+    for s in range(ws):
+        gxp[:, s:s + k, :] += gwin[:, :, s, :]
+    return gxp[:, pad:pad + k, :], np.ascontiguousarray(gw.transpose(0, 2, 1)), g.sum(axis=(0, 1))
+
+
+def gemm_major(w):
+    """The same kernels laid out in memory as (ws, d_in, n_k)."""
+    return np.ascontiguousarray(w.transpose(1, 2, 0)).transpose(2, 0, 1)
+
+
+# Each window with text lengths 1, 2, its pad, its width and 40: texts shorter than the
+# window clip taps at both edges.
+WINDOW_LENGTHS = [(ws, k) for ws in (1, 5, 7) for k in sorted({1, 2, (ws - 1) // 2, ws, 40} - {0})]
+GRID = pytest.mark.parametrize("ws,k,batch,d", [
+    (ws, k, batch, d) for ws, k in WINDOW_LENGTHS for batch in (1, 3, 64) for d in (4, 64, 288)
+])
+
+
+def grid_case(ws, k, batch, d, dtype):
+    gen = np.random.default_rng([ws, k, batch, d, np.dtype(dtype).itemsize])
+    x, g = (gen.normal(size=(batch, k, d)).astype(dtype) for _ in range(2))
+    return x, gen.normal(size=(d, ws, d)).astype(dtype), gen.normal(size=d).astype(dtype), g
+
+
+@GRID
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_forward_is_one_nn_gemm_of_the_tensordot_window_block(ws, k, batch, d, dtype):
+    """Same operands as the tensordot forward, same bits in either kernel layout.
+
+    tensordot multiplies the window block by a free F-order view of C-order kernels
+    (an NT gemm); conv_forward passes a C-order kernels operand (NN). The BLAS may
+    sum a product of a few rows in another order for NT than for NN (on OpenBLAS
+    0.3.31 at d=288, ws=5: one or two rows), so the tensordot forward is matched
+    exactly on the block it builds and closely on its output.
+    """
+    x, w, b, _ = grid_case(ws, k, batch, d, dtype)
+    operand = np.ascontiguousarray(w.transpose(1, 2, 0)).reshape(ws * d, d)
+    nn = np.dot(tensordot_window_block(x, ws), operand)
+    want = nn.reshape(batch, k, d) + b
+    for kern in (w, gemm_major(w)):
+        out = kernels.conv_forward(x, kern, b)
+        assert out.dtype == dtype and np.array_equal(out, want)
+    tol = 1e-4 if dtype == np.float32 else 1e-12
+    assert np.allclose(want, tensordot_conv_forward(x, w, b), rtol=tol, atol=tol * d)
+
+
+@GRID
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_backward_matches_the_tensordot_formulation_bit_for_bit(ws, k, batch, d, dtype):
+    x, w, _, g = grid_case(ws, k, batch, d, dtype)
+    want = tensordot_conv_backward(x, w, g)
+    for kern in (w, gemm_major(w)):
+        gx, gw, gb = kernels.conv_backward(x, kern, g)
+        for got, ref in zip((gx, gw, gb), want):
+            assert got.dtype == dtype and np.array_equal(got, ref)
+        assert gw.transpose(1, 2, 0).flags.c_contiguous  # GEMM-major, as ConvBlock keeps kernels

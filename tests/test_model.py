@@ -8,6 +8,7 @@ from multires.errors import (
     ConfigError,
     DatasetError,
     DegenerateVectorError,
+    IntegrityError,
     MiningError,
 )
 from multires.model import (
@@ -447,6 +448,13 @@ class TestTrain:
                 "convrr",
                 TrainConfig(iterations=1, batch_size=2),
             )
+
+    def test_repeated_query_id_rejected(self):
+        """A query's second positive could be mined as its first pair's negative."""
+        pairs, queries, docs = two_cluster_pairs()
+        pairs.append(QaPair("q3", "", "d5"))
+        with pytest.raises(IntegrityError, match="query id 'q3' repeats"):
+            train(pairs, queries, docs, "convrr", TrainConfig(iterations=1, batch_size=4))
 
     def test_shared_weights_across_branches(self):
         """Query and doc branches serialize to the same parameter bytes."""
