@@ -3,7 +3,12 @@
 Exit codes: 0 success, 1 internal error, 2 user/input error. Every
 command is idempotent for fixed inputs and seed; all randomness flows
 from the --seed flag (or the seed in the run config). Commands compose
-text in-process from MRE stores; none reads or writes MRT files.
+text in-process from MRE stores; none reads or writes MRT files. Each
+command first compiles all its texts, documents and queries, into one
+composed table of their distinct tokens and one array of table rows per
+text (``compile_texts``); the stores are freed before encoding, and no
+command holds a matrix per text. ``search`` composes its one query with
+``compose_text``.
 """
 
 from __future__ import annotations
@@ -14,17 +19,17 @@ import sys
 from dataclasses import dataclass, field
 
 from multires import corpus as corpus_mod
-from multires.embedding.compose import compose_text
+from multires.embedding.compose import compile_texts, compose_text
 from multires.embedding.specs import parse_spec_file
 from multires.embedding.stores import (
     ContextFreeStore,
     read_context_free_store,
     write_context_free_store,
 )
-from multires.errors import EmptyTextError, MultiresError, ParseError
+from multires.errors import DegenerateVectorError, EmptyTextError, MultiresError, ParseError
 from multires.fileio import atomic_write, key_value_lines, open_text
 from multires.model.checkpoint import read_checkpoint, write_checkpoint
-from multires.model.encoder import encode_texts
+from multires.model.encoder import TokenTexts, encode_texts
 from multires.model.loss import LossConfig
 from multires.model.train import TrainConfig, train
 from multires.numerics.adam import AdamConfig
@@ -143,23 +148,30 @@ def _require_paths(cfg: RunConfig, names: list[str]) -> None:
         raise ParseError("run config defines no embedding stores")
 
 
-def _load_composer(store_paths: dict[str, str], spec_path: str, idf_path: str | None, docs):
-    """Read the stores, the spec and the IDF once; return (text, name) -> (k, d'') matrix.
+def _composition(cfg: RunConfig, docs):
+    """The stores, the spec and the IDF (read from ``cfg.idf`` if set, else built from ``docs``)."""
+    stores = {model: read_context_free_store(path, model) for model, path in cfg.stores.items()}
+    spec = parse_spec_file(cfg.spec)
+    idf = corpus_mod.load_idf(cfg.idf) if cfg.idf else corpus_mod.build_idf(docs)
+    return stores, spec, idf
 
-    The IDF is read from ``idf_path`` when it is set, else built from ``docs``.
-    An EmptyTextError names the text by ``name``.
+
+def _compile(cfg: RunConfig, docs, queries: dict[str, str]) -> tuple[TokenTexts, TokenTexts]:
+    """Compile the documents and {query id: text} into one table; return their TokenTexts.
+
+    The stores are read once and freed on return. An EmptyTextError names its text.
     """
-    stores = {model: read_context_free_store(path, model) for model, path in store_paths.items()}
-    spec = parse_spec_file(spec_path)
-    idf = corpus_mod.load_idf(idf_path) if idf_path else corpus_mod.build_idf(docs)
-
-    def compose(text: str, name: str):
-        try:
-            return compose_text(corpus_mod.tokenize(text), stores, spec, idf)
-        except EmptyTextError as exc:
-            raise EmptyTextError(f"{name}: {exc}") from None
-
-    return compose
+    doc_ids, query_ids = tuple(d.id for d in docs), tuple(queries)
+    names = [f"document {i!r}" for i in doc_ids] + [f"query {i!r}" for i in query_ids]
+    tokens = (corpus_mod.tokenize(t) for t in [d.text for d in docs] + list(queries.values()))
+    try:
+        table, ids = compile_texts(tokens, *_composition(cfg, docs))
+    except EmptyTextError as exc:
+        raise exc.at(exc.position, names[exc.position]) from None
+    return (
+        TokenTexts(table, ids[:len(docs)], doc_ids),
+        TokenTexts(table, ids[len(docs):], query_ids),
+    )
 
 
 # --- commands ---
@@ -183,12 +195,9 @@ def cmd_train(args) -> int:
         raise ParseError("run config is missing required key 'checkpoint'")
     docs = corpus_mod.load_corpus(cfg.corpus)
     pairs = corpus_mod.load_qa_pairs(cfg.qa_pairs, docs)
-    compose = _load_composer(cfg.stores, cfg.spec, cfg.idf, docs)
-    doc_matrices = {d.id: compose(d.text, f"document {d.id!r}") for d in docs}
-    query_matrices = {p.query_id: compose(p.query_text, f"query {p.query_id!r}") for p in pairs}
-    del compose  # frees the stores before training
+    doc_texts, query_texts = _compile(cfg, docs, {p.query_id: p.query_text for p in pairs})
     train_cfg = TrainConfig(**cfg.train, adam=AdamConfig(**cfg.adam), loss=LossConfig(**cfg.loss))
-    result = train(pairs, query_matrices, doc_matrices, encoder_kind=cfg.encoder, cfg=train_cfg)
+    result = train(pairs, query_texts, doc_texts, encoder_kind=cfg.encoder, cfg=train_cfg)
     write_checkpoint(cfg.checkpoint, result.params, result.kind)
     if cfg.loss_trace:
         rows = zip(result.loss_trace, result.active_fractions)
@@ -207,11 +216,12 @@ def cmd_index(args) -> int:
     if out_path is None:
         raise ParseError("no index output path (--out or 'index' config key)")
     docs = corpus_mod.load_corpus(cfg.corpus)
-    compose = _load_composer(cfg.stores, cfg.spec, cfg.idf, docs)
-    doc_matrices = [compose(d.text, f"document {d.id!r}") for d in docs]
-    del compose  # frees the stores before encoding
+    doc_texts, _ = _compile(cfg, docs, {})
     params, _ = read_checkpoint(cfg.checkpoint)
-    encoded = encode_texts(doc_matrices, params)
+    try:
+        encoded = encode_texts(doc_texts, params)
+    except DegenerateVectorError as exc:
+        raise exc.at(exc.position, f"document {docs[exc.position].id!r}") from None
     store = ContextFreeStore(
         "index", 1, encoded.shape[1], tokens=[d.id for d in docs], rows=encoded[:, None, :]
     )
@@ -226,11 +236,14 @@ def cmd_search(args) -> int:
     if not cfg.idf and not (cfg.corpus and os.path.exists(cfg.corpus)):
         raise ParseError("search needs an 'idf' or 'corpus' key to weight tokens")
     docs = [] if cfg.idf else corpus_mod.load_corpus(cfg.corpus)
-    compose = _load_composer(cfg.stores, cfg.spec, cfg.idf, docs)
+    try:
+        matrix = compose_text(corpus_mod.tokenize(args.query), *_composition(cfg, docs))
+    except EmptyTextError as exc:
+        raise exc.at(0, f"query {args.query!r}") from None
     params, _ = read_checkpoint(cfg.checkpoint)
     stored = read_context_free_store(cfg.index, "index")
     index = RetrievalIndex(tuple(stored.index), stored.rows[:, 0])
-    vec = encode_texts([compose(args.query, f"query {args.query!r}")], params)[0]
+    vec = encode_texts([matrix], params)[0]
     for doc_id, dist in search(index, vec, args.k):
         print(f"{doc_id}\t{dist!r}")
     return 0
@@ -245,16 +258,12 @@ def cmd_eval(args) -> int:
         raise ParseError("run config is missing required key 'report'")
     docs = corpus_mod.load_corpus(cfg.corpus)
     pairs = corpus_mod.load_qa_pairs(cfg.qa_pairs, docs)
-    compose = _load_composer(cfg.stores, cfg.spec, cfg.idf, docs)
-    doc_matrices = [(d.id, compose(d.text, f"document {d.id!r}")) for d in docs]
     gold: dict[str, list[str]] = {}  # a query id has one line per positive document
     for p in pairs:
         gold.setdefault(p.query_id, []).append(p.positive_doc_id)
-    texts = {p.query_id: p.query_text for p in pairs}
-    query_matrices = [(qid, compose(text, f"query {qid!r}")) for qid, text in texts.items()]
-    del compose  # frees the stores before encoding
+    doc_texts, query_texts = _compile(cfg, docs, {p.query_id: p.query_text for p in pairs})
     params, _ = read_checkpoint(cfg.checkpoint)
-    report = evaluate(params, query_matrices, doc_matrices, cfg.ks, gold)
+    report = evaluate(params, query_texts, doc_texts, cfg.ks, gold)
     with atomic_write(cfg.report) as fh:
         fh.write(f"{report.to_json()}\n".encode("utf-8"))
     print(f"evaluated {report.num_queries} queries -> {cfg.report}")

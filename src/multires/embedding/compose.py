@@ -1,13 +1,16 @@
 """Composition algebra: layer mixtures, model ensembles, text matrices.
 
 A composed vector is a plain 1-D ndarray; a text matrix is the (k, d'')
-stack of the k composed token vectors in input order.
+stack of the k composed token vectors in input order. Over context-free
+stores a token composes to the same row wherever it occurs, so a run's
+texts compile into one table of their distinct tokens and one array of
+row ids per text (``compile_texts``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -161,3 +164,46 @@ def compose_text(
     if not resolved:
         raise EmptyTextError("no token of the text resolves in any embedding store")
     return compose_token(layer_sets, spec, np.array([lookup_idf(idf, t) for t in tokens]))
+
+
+# Distinct tokens composed per compose_text call in compile_texts; bounds its temporaries.
+COMPILE_TOKENS = 512
+
+
+def compile_texts(
+    texts: Iterable[Sequence[str]],
+    stores: Mapping[str, ContextFreeStore],
+    spec: EnsembleSpec,
+    idf: IdfTable,
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Compose a run's token lists into ``(table, ids)``, one row per distinct token.
+
+    ``table`` is float32, (V, d''), in first-occurrence order; ``ids`` holds
+    one intp array per text, so text i's matrix is ``table[ids[i]]``: bit
+    for bit ``compose_text`` of its tokens, cast to float32, since a token's
+    row depends on the token alone. The table is filled through
+    ``compose_text`` in chunks of ``COMPILE_TOKENS`` tokens. A text whose
+    tokens resolve in no store raises ``EmptyTextError`` at its position.
+    """
+    vocab: dict[str, int] = {}
+    ids = [np.array([vocab.setdefault(t, len(vocab)) for t in tokens], np.intp) for tokens in texts]
+    models = list(dict.fromkeys(m.model_id for m in spec.mixtures))
+    for model_id in models:
+        if model_id not in stores:
+            raise MissingModelError(f"no store for model {model_id!r}")
+    tokens = list(vocab)
+    resolved = np.zeros(len(tokens), bool)
+    for model_id in models:
+        resolved |= np.array([t in stores[model_id].index for t in tokens], bool)
+    for pos, text in enumerate(ids):
+        if not resolved[text].any():
+            reason = "no token of the text resolves in any embedding store"
+            raise EmptyTextError(reason, pos, f"text {pos}")
+    dims = {m: (stores[m].num_layers, stores[m].dim) for m in models}
+    table = np.empty((len(tokens), composed_dim(spec, dims)), np.float32)
+    for lo in range(0, len(tokens), COMPILE_TOKENS):
+        chunk = tokens[lo:lo + COMPILE_TOKENS]
+        # compose_text rejects a chunk that resolves nowhere: lead it with a token that does
+        lead = [] if resolved[lo:lo + len(chunk)].any() else [tokens[int(np.argmax(resolved))]]
+        table[lo:lo + len(chunk)] = compose_text(lead + chunk, stores, spec, idf)[len(lead):]
+    return table, ids

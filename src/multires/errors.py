@@ -22,7 +22,23 @@ class EmptyInputError(MultiresError):
     """An operation that needs at least one row received none."""
 
 
-class DegenerateVectorError(MultiresError):
+class TextError(MultiresError):
+    """An error about one item of a batch of texts or vectors.
+
+    ``position`` is the item's index in the batch and ``reason`` the message
+    without the item's name; ``at`` restates the error for an outer batch.
+    """
+
+    def __init__(self, reason: str, position: int = 0, name: str | None = None):
+        self.reason = reason
+        self.position = position
+        super().__init__(reason if name is None else f"{name}: {reason}")
+
+    def at(self, position: int, name: str) -> "TextError":
+        return type(self)(self.reason, position, name)
+
+
+class DegenerateVectorError(TextError):
     """Vector norm below the normalization floor."""
 
 
@@ -60,7 +76,7 @@ class MissingModelError(MultiresError):
     """A composition references an embedding model with no loaded store."""
 
 
-class EmptyTextError(MultiresError):
+class EmptyTextError(TextError):
     """No token of the text resolves in any embedding store."""
 
 

@@ -10,11 +10,13 @@ construction: there is a single parameter object.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from multires.errors import ConfigError, NumericalError, ShapeError
+from multires.errors import ConfigError, DegenerateVectorError, NumericalError, ShapeError
 from multires.numerics import kernels
 from multires.numerics.ops import (
     l2_normalize,
@@ -218,21 +220,28 @@ def convrr_forward_many(xs: np.ndarray, params: ConvRRParams) -> tuple[np.ndarra
 
 
 def convrr_backward_many(
-    params: ConvRRParams, cache: dict, upstream: np.ndarray
-) -> tuple[list[np.ndarray], np.ndarray]:
-    """Gradients of the batched forward: (per-tensor grads, grad wrt xs)."""
+    params: ConvRRParams, cache: dict, upstream: np.ndarray, input_grad: bool = True
+) -> tuple[list[np.ndarray], np.ndarray | None]:
+    """Gradients of the batched forward: (per-tensor grads, grad wrt xs or None).
+
+    With ``input_grad`` false, the first block skips its input gradient and
+    the grad wrt xs is None.
+    """
     k = cache["block_inputs"][0].shape[1]
     g_raw = l2_normalize_backward(cache["raw"], upstream)
     gh = mean_over_positions_backward(params.scale * g_raw, k)
     grads: list[np.ndarray] = []
     for i in range(len(params.blocks) - 1, -1, -1):
         gz = relu_backward(cache["pre_acts"][i], gh)
-        gh, gw, gb = kernels.conv_backward(cache["block_inputs"][i], params.blocks[i].kernels, gz)
+        gh, gw, gb = kernels.conv_backward(
+            cache["block_inputs"][i], params.blocks[i].kernels, gz, input_grad or i > 0
+        )
         grads.append(gb)
         grads.append(gw)
     grads.reverse()
-    gx = gh + mean_over_positions_backward(g_raw, k)
-    return grads, gx
+    if not input_grad:
+        return grads, None
+    return grads, gh + mean_over_positions_backward(g_raw, k)
 
 
 def convrr_forward(x: np.ndarray, params: ConvRRParams) -> np.ndarray:
@@ -264,12 +273,14 @@ def fcrr_forward_many(xs: np.ndarray, params: FCRRParams) -> tuple[np.ndarray, d
 
 
 def fcrr_backward_many(
-    params: FCRRParams, cache: dict, upstream: np.ndarray
-) -> tuple[list[np.ndarray], np.ndarray]:
+    params: FCRRParams, cache: dict, upstream: np.ndarray, input_grad: bool = True
+) -> tuple[list[np.ndarray], np.ndarray | None]:
     g_raw = l2_normalize_backward(cache["raw"], upstream)
     gz = relu_backward(cache["z"], params.scale * g_raw)
     gw = gz.T @ cache["v"]
     gb = gz.sum(axis=0)
+    if not input_grad:
+        return [gw, gb], None
     gv = gz @ params.weight + g_raw
     return [gw, gb], mean_over_positions_backward(gv, cache["k"])
 
@@ -298,11 +309,11 @@ def forward_many(xs: np.ndarray, params) -> tuple[np.ndarray, dict]:
     raise ConfigError(f"unknown parameter type {type(params).__name__}")
 
 
-def backward_many(params, cache: dict, upstream: np.ndarray):
+def backward_many(params, cache: dict, upstream: np.ndarray, input_grad: bool = True):
     if isinstance(params, ConvRRParams):
-        return convrr_backward_many(params, cache, upstream)
+        return convrr_backward_many(params, cache, upstream, input_grad)
     if isinstance(params, FCRRParams):
-        return fcrr_backward_many(params, cache, upstream)
+        return fcrr_backward_many(params, cache, upstream, input_grad)
     raise ConfigError(f"unknown parameter type {type(params).__name__}")
 
 
@@ -311,15 +322,55 @@ def mean_embedding_encode(x: np.ndarray) -> np.ndarray:
     return l2_normalize(mean_over_positions(x))
 
 
+@dataclass(frozen=True)
+class TokenTexts:
+    """Texts as rows of one table: text i's (k_i, d'') matrix is ``table[ids[i]]``.
+
+    ``names`` holds the texts' ids, in order, where a caller looks texts up
+    by id; ``take`` selects texts without copying the table.
+    """
+
+    table: np.ndarray        # (V, d'')
+    ids: Sequence[np.ndarray]  # one intp array of k_i row indices per text
+    names: Sequence[str] = ()
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def take(self, positions: Sequence[int]) -> "TokenTexts":
+        return TokenTexts(self.table, [self.ids[i] for i in positions])
+
+
+def as_token_texts(texts, names: Sequence[str] = ()) -> TokenTexts:
+    """TokenTexts as given, or per-text (k_i, d'') matrices concatenated into one table.
+
+    The table keeps the matrices' dtype; text i's ids are the rows its
+    matrix occupies.
+    """
+    if isinstance(texts, TokenTexts):
+        return texts
+    matrices = [np.asarray(m) for m in texts]
+    if not matrices:
+        return TokenTexts(np.empty((0, 0), np.float32), [], tuple(names))
+    width = matrices[0].shape[-1]
+    bad = next((m.shape for m in matrices if m.ndim != 2 or m.shape[1] != width), None)
+    if bad is not None:
+        raise ShapeError(f"text matrix of shape {bad} among (k, {width}) texts")
+    starts = itertools.accumulate((m.shape[0] for m in matrices), initial=0)
+    ids = [np.arange(start, start + m.shape[0]) for start, m in zip(starts, matrices)]
+    return TokenTexts(np.concatenate(matrices), ids, tuple(names))
+
+
 # Most first-layer GEMM cells (rows x K) that one batched forward of
 # encode_texts reads; bounds that forward's temporary arrays.
 ENCODE_CELLS = 1 << 21
 
 
-def _forward_by_length(matrices: list[np.ndarray], params, max_cells: int | None = None):
+def _forward_by_length(texts: TokenTexts, params, max_cells: int | None = None):
     """Yield (input positions, outputs, cache) per part of a group of equal-length texts.
 
-    Groups run shortest texts first, each through one batched forward. With
+    Groups run shortest texts first, each through one batched forward of a
+    block gathered from the table with one fancy index. With
     ``max_cells``, a group whose first-layer GEMM would read more than
     ``max_cells`` cells (rows x K, ``params.text_cells``) runs in near-equal
     parts of whole texts. If f texts fit the budget (f >= 1, so a text too
@@ -329,11 +380,13 @@ def _forward_by_length(matrices: list[np.ndarray], params, max_cells: int | None
     (max_cells - one text's cells) / 2 cells: enough rows that the BLAS
     computes each row of the product as it does inside the whole group,
     and the parts' outputs equal one forward of the group bit for bit
-    (checked on the BLAS in use by ``tests/test_encode_parts.py``).
+    (checked on the BLAS in use by ``tests/test_encode_parts.py``). A text
+    that encodes to a zero-norm vector raises ``DegenerateVectorError`` at
+    its input position.
     """
     by_len: dict[int, list[int]] = {}
-    for i, m in enumerate(matrices):
-        by_len.setdefault(m.shape[0], []).append(i)
+    for i, row_ids in enumerate(texts.ids):
+        by_len.setdefault(len(row_ids), []).append(i)
     for k in sorted(by_len):
         idxs = by_len[k]
         parts = 1
@@ -341,25 +394,30 @@ def _forward_by_length(matrices: list[np.ndarray], params, max_cells: int | None
             parts = -(-len(idxs) // max(1, max_cells // params.text_cells(k)))
         for p in range(parts):
             part = idxs[p * len(idxs) // parts : (p + 1) * len(idxs) // parts]
-            out, cache = forward_many(np.stack([matrices[i] for i in part]), params)
+            block = np.array([texts.ids[i] for i in part], dtype=np.intp)
+            try:
+                out, cache = forward_many(texts.table[block], params)
+            except DegenerateVectorError as exc:
+                pos = part[exc.position]
+                raise exc.at(pos, f"text {pos}") from None
             yield part, out, cache
 
 
-def grouped_forward(
-    matrices: list[np.ndarray], params
-) -> tuple[np.ndarray, list[tuple[list[int], dict]]]:
+def grouped_forward(texts, params) -> tuple[np.ndarray, list[tuple[list[int], dict]]]:
     """Encode texts of possibly different lengths and keep what the backward needs.
 
+    ``texts`` are TokenTexts or per-text matrices (see ``as_token_texts``).
     Returns the outputs, rows in input order, and per length group its
     input positions and forward cache, which ``grouped_backward`` consumes.
     A group is never split into parts: its kernel gradient is one GEMM
     summing over all its texts, and parts would change that sum's order.
     """
+    texts = as_token_texts(texts)
     outputs = np.zeros((0, params.dim), dtype=np.float32)
     groups = []
-    for idxs, out, cache in _forward_by_length(matrices, params):
+    for idxs, out, cache in _forward_by_length(texts, params):
         if not groups:
-            outputs = np.empty((len(matrices), params.dim), dtype=out.dtype)
+            outputs = np.empty((len(texts), params.dim), dtype=out.dtype)
         outputs[idxs] = out
         groups.append((idxs, cache))
     return outputs, groups
@@ -368,27 +426,34 @@ def grouped_forward(
 def grouped_backward(
     params, groups: list[tuple[list[int], dict]], upstream: np.ndarray
 ) -> list[np.ndarray]:
-    """Parameter gradients of ``grouped_forward``, summed over its length groups."""
+    """Parameter gradients of ``grouped_forward``, summed over its length groups.
+
+    The gradient with respect to the inputs is not computed.
+    """
     total: list[np.ndarray] = []
     for idxs, cache in groups:
-        grads, _ = backward_many(params, cache, upstream[idxs])
+        grads, _ = backward_many(params, cache, upstream[idxs], input_grad=False)
         total = [t + g for t, g in zip(total, grads)] if total else grads
     return total
 
 
-def encode_texts(matrices: list[np.ndarray], params) -> np.ndarray:
+def encode_texts(texts, params) -> np.ndarray:
     """Encode texts of possibly different lengths; rows follow input order.
 
+    ``texts`` are TokenTexts or per-text matrices (see ``as_token_texts``).
     The outputs equal ``grouped_forward``'s bit for bit, but each length
     group runs in parts of at most ``ENCODE_CELLS`` first-layer GEMM cells
     (a text larger than that runs alone), and each part's cache is dropped
     as soon as the part is done. So the memory beyond the inputs and the
-    outputs is one part's, whatever the number of texts.
+    outputs is one part's, whatever the number of texts. A text that
+    encodes to a zero-norm vector raises ``DegenerateVectorError`` naming
+    its input position.
     """
+    texts = as_token_texts(texts)
     outputs = np.zeros((0, params.dim), dtype=np.float32)
-    for n, (idxs, out, _) in enumerate(_forward_by_length(matrices, params, ENCODE_CELLS)):
+    for n, (idxs, out, _) in enumerate(_forward_by_length(texts, params, ENCODE_CELLS)):
         if n == 0:
-            outputs = np.empty((len(matrices), params.dim), dtype=out.dtype)
+            outputs = np.empty((len(texts), params.dim), dtype=out.dtype)
         outputs[idxs] = out
     return outputs
 
@@ -402,10 +467,23 @@ def squared_distances(vectors: np.ndarray, query: np.ndarray) -> np.ndarray:
 BLOCK_CELLS = 1 << 15
 
 
+# Cells per chunk of row_sq_norms; bounds its float64 copy of the rows.
+NORM_CELLS = 1 << 18
+
+
 def row_sq_norms(vectors: np.ndarray) -> np.ndarray:
-    """Squared row norms in float64, the form ``nearest`` takes."""
-    v = np.asarray(vectors, dtype=np.float64)
-    return np.einsum("ij,ij->i", v, v)
+    """Squared row norms in float64, the form ``nearest`` takes.
+
+    The rows are converted to float64 in chunks of at most ``NORM_CELLS``
+    cells (or one row); a row's norm does not depend on the chunking.
+    """
+    v = np.asarray(vectors)
+    out = np.empty(v.shape[0], dtype=np.float64)
+    step = max(1, NORM_CELLS // max(1, v.shape[1]))
+    for lo in range(0, v.shape[0], step):
+        chunk = np.asarray(v[lo:lo + step], dtype=np.float64)
+        np.einsum("ij,ij->i", chunk, chunk, out=out[lo:lo + step])
+    return out
 
 
 def _gamma(n: int, u: float) -> float:

@@ -9,7 +9,7 @@ one seed are bitwise identical.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -52,16 +52,24 @@ class TrainResult:
     active_fractions: list[float] = field(default_factory=list)
 
 
+def _named_texts(texts: Mapping[str, np.ndarray] | enc.TokenTexts) -> enc.TokenTexts:
+    """Named float32 texts from TokenTexts or an {id: matrix} mapping."""
+    if not isinstance(texts, enc.TokenTexts):
+        texts = enc.as_token_texts(list(texts.values()), tuple(texts))
+    return replace(texts, table=texts.table.astype(np.float32, copy=False))
+
+
 def train(
     pairs: Sequence[QaPair],
-    query_matrices: Mapping[str, np.ndarray],
-    doc_matrices: Mapping[str, np.ndarray],
+    query_matrices: Mapping[str, np.ndarray] | enc.TokenTexts,
+    doc_matrices: Mapping[str, np.ndarray] | enc.TokenTexts,
     encoder_kind: str = "convrr",
     cfg: TrainConfig = TrainConfig(),
 ) -> TrainResult:
     """Train the encoder on (query, positive document) pairs, one pair per query id.
 
-    Per iteration: sample a batch without replacement (reshuffling once the
+    Texts are named TokenTexts or {id: (k, d'') matrix} mappings. Per
+    iteration: sample a batch without replacement (reshuffling once the
     pool is exhausted), encode queries and documents with shared parameters,
     mine a hardest negative per anchor, average the triplet losses, and take
     one Adam step per parameter tensor.
@@ -70,12 +78,15 @@ def train(
         raise ConfigError(f"encoder_kind must be 'convrr' or 'fcrr', got {encoder_kind!r}")
     if not pairs:
         raise DatasetError("no training pairs")
-    if len(doc_matrices) < 2:
+    queries, docs = _named_texts(query_matrices), _named_texts(doc_matrices)
+    query_pos = {qid: i for i, qid in enumerate(queries.names)}
+    doc_pos = {did: i for i, did in enumerate(docs.names)}
+    if len(doc_pos) < 2:
         raise DatasetError("need at least 2 distinct documents to mine negatives")
     for pair in pairs:
-        if pair.query_id not in query_matrices:
+        if pair.query_id not in query_pos:
             raise IntegrityError(f"no text matrix for query {pair.query_id!r}")
-        if pair.positive_doc_id not in doc_matrices:
+        if pair.positive_doc_id not in doc_pos:
             raise IntegrityError(f"no text matrix for document {pair.positive_doc_id!r}")
     # mining excludes one gold column per anchor, so a query's other positive could be its negative
     repeated = [qid for qid, n in Counter(p.query_id for p in pairs).items() if n > 1]
@@ -83,10 +94,7 @@ def train(
         raise IntegrityError(
             f"query id {repeated[0]!r} repeats; train takes one positive document per query"
         )
-
-    queries = {qid: np.asarray(m, dtype=np.float32) for qid, m in query_matrices.items()}
-    docs = {did: np.asarray(m, dtype=np.float32) for did, m in doc_matrices.items()}
-    dim = next(iter(docs.values())).shape[1]
+    dim = docs.table.shape[1]
 
     rng = np.random.default_rng(cfg.seed)
     if encoder_kind == "convrr":
@@ -102,7 +110,7 @@ def train(
     batch_size = min(cfg.batch_size, n_pairs)
     order = rng.permutation(n_pairs)
     cursor = 0
-    all_doc_ids = list(docs.keys())
+    all_doc_ids = list(doc_pos)
     semi_hard = cfg.mining == "semi_hard"
     full_scan = cfg.mining == "full_scan"
 
@@ -118,12 +126,16 @@ def train(
         if full_scan or len(batch_doc_ids) < 2:  # one document leaves no negative to mine
             batch_doc_ids = all_doc_ids
 
-        anchors, query_groups = enc.grouped_forward([queries[p.query_id] for p in batch], params)
-        doc_outs, doc_groups = enc.grouped_forward([docs[d] for d in batch_doc_ids], params)
+        anchors, query_groups = enc.grouped_forward(
+            queries.take([query_pos[p.query_id] for p in batch]), params
+        )
+        doc_outs, doc_groups = enc.grouped_forward(
+            docs.take([doc_pos[d] for d in batch_doc_ids]), params
+        )
         if not (np.isfinite(anchors).all() and np.isfinite(doc_outs).all()):
             raise NumericalError(f"iteration {iteration}: the encoded batch is non-finite")
-        doc_pos = {did: i for i, did in enumerate(batch_doc_ids)}
-        positive = np.array([doc_pos[p.positive_doc_id] for p in batch], dtype=np.intp)
+        column = {did: i for i, did in enumerate(batch_doc_ids)}
+        positive = np.array([column[p.positive_doc_id] for p in batch], dtype=np.intp)
 
         negative = mine_hard(anchors, doc_outs[positive], doc_outs, positive, semi_hard=semi_hard)
         losses, active, g_anchor, g_doc = triplet_step(anchors, doc_outs, positive, negative, cfg.loss)

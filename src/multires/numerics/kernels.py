@@ -52,9 +52,9 @@ def conv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def conv_backward(
-    x: np.ndarray, w: np.ndarray, g: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients of conv_forward: returns (gx, gw, gb)."""
+    x: np.ndarray, w: np.ndarray, g: np.ndarray, input_grad: bool = True
+) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
+    """Gradients of conv_forward: returns (gx, gw, gb); gx is None without ``input_grad``."""
     batch, k, d = x.shape
     n_k, ws, _ = w.shape
     pad = (ws - 1) // 2
@@ -64,6 +64,8 @@ def conv_backward(
     gw = np.tensordot(g, win, axes=([0, 1], [0, 1]))  # (n_k, d, ws)
     gw = np.ascontiguousarray(gw.transpose(2, 1, 0)).transpose(2, 0, 1)  # (n_k, ws, d), GEMM-major
     gb = g.sum(axis=(0, 1))
+    if not input_grad:
+        return None, gw, gb
     gwin = np.tensordot(g, np.ascontiguousarray(w), axes=([2], [0]))  # (B, k, ws, d), NN gemm
     gxp = np.zeros_like(xp)
     for s in range(ws):

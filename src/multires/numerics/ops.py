@@ -106,8 +106,10 @@ def _row_norms(v: np.ndarray, norm_floor: float) -> np.ndarray:
     """Euclidean norms over the last axis (kept); rejects any at or below the floor."""
     norm = np.sqrt(np.sum(v * v, axis=-1, keepdims=True))
     if np.any(norm <= norm_floor):
-        low = float(norm.min())
-        raise DegenerateVectorError(f"vector norm {low:g} at or below floor {norm_floor:g}")
+        low = np.flatnonzero(norm <= norm_floor)[0]  # the first such vector, in C order
+        raise DegenerateVectorError(
+            f"vector norm {float(norm.flat[low]):g} at or below floor {norm_floor:g}", int(low)
+        )
     return norm
 
 

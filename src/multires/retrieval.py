@@ -13,19 +13,27 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Collection, Mapping, Sequence
 
 import numpy as np
 
 from multires.errors import (
     ContractError,
+    DegenerateVectorError,
     DuplicateIdError,
     EmptyIndexError,
     IntegrityError,
     ShapeError,
 )
-from multires.model.encoder import encode_texts, mean_embedding_encode, nearest, row_sq_norms
+from multires.model.encoder import (
+    TokenTexts,
+    as_token_texts,
+    encode_texts,
+    mean_embedding_encode,
+    nearest,
+    row_sq_norms,
+)
 
 UNIT_TOL = 1e-6
 
@@ -47,16 +55,17 @@ class RetrievalIndex:
         if len(set(ids)) != len(ids):
             duplicate = next(d for d, n in Counter(ids).items() if n > 1)
             raise DuplicateIdError(f"duplicate document id {duplicate!r}")
-        finite = np.isfinite(vectors).all(axis=1)
+        sq_norms = row_sq_norms(vectors)  # a row with a non-finite entry has a non-finite norm
+        finite = np.isfinite(sq_norms)
         if not finite.all():
             raise ContractError(f"vector for {ids[np.flatnonzero(~finite)[0]]!r} is non-finite")
-        norms = np.linalg.norm(vectors, axis=1)
+        norms = np.sqrt(sq_norms)
         bad = np.flatnonzero(np.abs(norms - 1.0) > UNIT_TOL)
         if bad.size:
             raise ContractError(
                 f"vector for {ids[bad[0]]!r} has norm {float(norms[bad[0]])!r}, expected unit"
             )
-        object.__setattr__(self, "sq_norms", row_sq_norms(vectors))
+        object.__setattr__(self, "sq_norms", sq_norms)
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -113,8 +122,8 @@ def recall_at_k(
 
 def evaluate(
     params,
-    queries: Sequence[tuple[str, np.ndarray]],
-    docs: Sequence[tuple[str, np.ndarray]],
+    queries: TokenTexts | Sequence[tuple[str, np.ndarray]],
+    docs: TokenTexts | Sequence[tuple[str, np.ndarray]],
     ks: Sequence[int],
     gold: Mapping[str, str | Collection[str]],
     candidates: Mapping[str, Sequence[str]] | None = None,
@@ -124,25 +133,28 @@ def evaluate(
     ``params`` is a ConvRRParams/FCRRParams object, or None for the
     mean-embedding baseline. ``candidates`` optionally restricts each
     query's search to a per-query document list (candidate-list mode);
-    the default searches the full corpus. Each query id appears once in
-    ``queries``; its ``gold`` is one document id or a collection of them.
+    the default searches the full corpus. Texts are named TokenTexts or
+    (id, matrix) pairs. Each query id appears once in ``queries``; its
+    ``gold`` is one document id or a collection of them. A text that
+    encodes to a zero-norm vector raises ``DegenerateVectorError`` naming it.
     """
     if not ks:
         raise IntegrityError("no k values requested")
     ks = sorted(set(int(k) for k in ks))
     if ks[0] < 1:
         raise ShapeError(f"k must be >= 1, got {ks[0]}")
-    repeated = [qid for qid, n in Counter(qid for qid, _ in queries).items() if n > 1]
+    queries, docs = _named_texts(queries), _named_texts(docs)
+    repeated = [qid for qid, n in Counter(queries.names).items() if n > 1]
     if repeated:
         raise IntegrityError(f"query id {repeated[0]!r} repeats; give it once, with all its gold")
-    index = RetrievalIndex(tuple(d for d, _ in docs), _encode_all([m for _, m in docs], params))
-    query_vecs = _encode_all([m for _, m in queries], params)
+    index = RetrievalIndex(tuple(docs.names), _encode_all(docs, params, "document"))
+    query_vecs = _encode_all(queries, params, "query")
 
     max_k = max(ks)
     rankings: dict[str, list[str]] = {}
     pos = {d: i for i, d in enumerate(index.ids)}
     full = []
-    for row, (qid, _) in enumerate(queries):
+    for row, qid in enumerate(queries.names):
         if candidates is None or qid not in candidates:
             full.append(row)
             continue
@@ -155,14 +167,24 @@ def evaluate(
     if full:
         top, _ = nearest(query_vecs[full], index.vectors, max_k, sq_norms=index.sq_norms)
         for row, picks in zip(full, top.tolist()):
-            rankings[queries[row][0]] = [index.ids[i] for i in picks]
+            rankings[queries.names[row]] = [index.ids[i] for i in picks]
 
     recalls = {k: recall_at_k(rankings, gold, k) for k in ks}
     return EvalReport(num_queries=len(queries), recalls=recalls)
 
 
-def _encode_all(matrices: list[np.ndarray], params) -> np.ndarray:
-    """Encoded rows in input order, as one (len(matrices), d'') array."""
+def _named_texts(texts: TokenTexts | Sequence[tuple[str, np.ndarray]]) -> TokenTexts:
+    if isinstance(texts, TokenTexts):
+        return texts
+    return as_token_texts([m for _, m in texts], [name for name, _ in texts])
+
+
+def _encode_all(texts: TokenTexts, params, kind: str) -> np.ndarray:
+    """Encoded float32 rows in input order, as one (len(texts), d'') array."""
+    texts = replace(texts, table=texts.table.astype(np.float32, copy=False))
     if params is None:
-        return np.array([mean_embedding_encode(np.asarray(m, dtype=np.float32)) for m in matrices])
-    return encode_texts([np.asarray(m, dtype=np.float32) for m in matrices], params)
+        return np.array([mean_embedding_encode(texts.table[i]) for i in texts.ids])
+    try:
+        return encode_texts(texts, params)
+    except DegenerateVectorError as exc:
+        raise exc.at(exc.position, f"{kind} {texts.names[exc.position]!r}") from None

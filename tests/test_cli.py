@@ -6,6 +6,7 @@ import math
 import os
 import re
 import struct
+import tracemalloc
 import zlib
 from pathlib import Path
 
@@ -14,9 +15,15 @@ import pytest
 
 from multires import corpus as corpus_mod
 from multires.cli import build_parser, main, parse_run_config
-from multires.embedding import parse_spec_file, read_context_free_store
+from multires.embedding import (
+    ContextFreeStore,
+    parse_spec_file,
+    read_context_free_store,
+    write_context_free_store,
+)
 from multires.embedding.compose import compose_text, composed_dim
-from multires.model import read_checkpoint
+from multires.model import encoder, read_checkpoint, write_checkpoint
+from multires.model.encoder import init_convrr_params, zero_convrr_params
 from multires.retrieval import evaluate
 
 
@@ -328,6 +335,96 @@ class TestUnresolvableText:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "error: query 'zzz qqq': no token of the text resolves" in captured.err
+
+
+def _write_run(tmp_path, docs, pairs, vectors, spec, params):
+    """A run config over the given texts, one store "m", a spec text and a checkpoint."""
+    corpus, qa = tmp_path / "corpus.jsonl", tmp_path / "pairs.jsonl"
+    corpus.write_text("".join(json.dumps({"id": i, "text": t}) + "\n" for i, t in docs))
+    qa.write_text("".join(
+        json.dumps({"query_id": q, "query_text": t, "positive_doc_id": d}) + "\n"
+        for q, t, d in pairs
+    ))
+    num_layers, dim = next(iter(vectors.values())).shape
+    store = ContextFreeStore("m", num_layers, dim, vectors)
+    write_context_free_store(str(tmp_path / "m.mre"), store)
+    (tmp_path / "spec.cfg").write_text(spec)
+    write_checkpoint(str(tmp_path / "model.crr"), params, "convrr")
+    config = tmp_path / "run.cfg"
+    config.write_text(
+        f"corpus={corpus}\nqa_pairs={qa}\nstores=m:{tmp_path / 'm.mre'}\n"
+        f"spec={tmp_path / 'spec.cfg'}\ncheckpoint={tmp_path / 'model.crr'}\n"
+        f"report={tmp_path / 'report.json'}\nindex={tmp_path / 'index.mre'}\nk=1\n"
+    )
+    return config
+
+
+class TestZeroNormText:
+    """A text that encodes to a zero vector ends eval or index with exit 2 and its name.
+
+    Under use_idf, "the" occurs in every document, so its weight is 0 and a
+    text made of it composes to zeros; all-zero kernels and biases keep it
+    at zero through the encoder.
+    """
+
+    SPEC = (
+        "ensemble.aggregator=concatenate\nensemble.weights=1\nmixture.1.model=m\n"
+        "mixture.1.weights=1\nmixture.1.aggregator=sum\nmixture.1.use_idf=true\n"
+    )
+
+    def _config(self, tmp_path, docs, query):
+        vectors = {w: np.full((1, 4), i + 1.0, np.float32) for i, w in enumerate(["the", "cat", "dog"])}
+        pairs = [("q1", query, "d1")]
+        return _write_run(tmp_path, docs, pairs, vectors, self.SPEC, zero_convrr_params(4, depth=1))
+
+    def test_eval_names_the_query(self, tmp_path, capsys):
+        config = self._config(tmp_path, [("d1", "the cat"), ("d2", "the dog")], "the")
+        assert main(["eval", "--config", str(config)]) == 2
+        assert "error: query 'q1': vector norm 0 at or below floor" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["eval", "index"])
+    def test_the_document_is_named(self, tmp_path, capsys, command):
+        docs = [("d1", "the cat"), ("d2", "the dog"), ("d3", "the the")]
+        config = self._config(tmp_path, docs, "cat")
+        assert main([command, "--config", str(config)]) == 2
+        assert "error: document 'd3': vector norm 0" in capsys.readouterr().err
+
+
+class TestCompiledTexts:
+    """eval and index hold one table of distinct tokens, never a matrix per text."""
+
+    WORDS, TEXTS, LENGTH, DIM = 40, 600, 24, 64
+
+    @pytest.fixture
+    def config(self, tmp_path):
+        gen = np.random.default_rng(3)
+        words = [f"w{i}" for i in range(self.WORDS)]
+        vectors = {w: gen.normal(size=(2, self.DIM // 2)).astype(np.float32) for w in words}
+
+        def text():
+            return " ".join(words[i] for i in gen.integers(0, self.WORDS, self.LENGTH))
+
+        docs = [(f"d{i}", text()) for i in range(self.TEXTS)]
+        pairs = [(f"q{i}", text(), f"d{i}") for i in range(self.TEXTS)]
+        spec = (
+            "ensemble.aggregator=concatenate\nensemble.weights=1\nmixture.1.model=m\n"
+            "mixture.1.weights=0.5,0.5\nmixture.1.aggregator=concatenate\n"
+        )
+        params = init_convrr_params(self.DIM, depth=1, window=3, rng=gen)
+        return _write_run(tmp_path, docs, pairs, vectors, spec, params)
+
+    @pytest.mark.parametrize("command", ["eval", "index"])
+    def test_traced_peak_is_far_below_one_matrix_per_text(self, config, command, monkeypatch):
+        monkeypatch.setattr(encoder, "ENCODE_CELLS", 1 << 13)  # keeps each forward's part small
+        texts = self.TEXTS * (2 if command == "eval" else 1)
+        per_text_matrices = texts * self.LENGTH * self.DIM * 4
+        tracemalloc.start()
+        try:
+            assert main([command, "--config", str(config)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < per_text_matrices / 2
 
 
 class TestInputErrors:

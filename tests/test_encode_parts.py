@@ -82,7 +82,7 @@ def test_parts_equal_one_forward_of_the_group(kind, k, dim, n, dtype, monkeypatc
 def test_split_rule(lengths, max_cells):
     """Near-equal parts of whole texts, each within the budget, at least half full."""
     params = _params("convrr", 2, np.float64)
-    texts = [np.ones((k, 2)) for k in lengths]
+    texts = encoder.as_token_texts([np.ones((k, 2)) for k in lengths])
     parts = [idxs for idxs, _, _ in encoder._forward_by_length(texts, params, max_cells)]
     assert sorted(i for part in parts for i in part) == list(range(len(texts)))
     for k in sorted(set(lengths)):
@@ -103,12 +103,13 @@ def test_split_rule(lengths, max_cells):
 def test_encode_memory_is_bounded(n):
     """convrr, depth 2, k=40, d''=64: the memory encode_texts adds stays bounded.
 
-    The inputs exist before tracing starts, so the traced peak holds the
-    outputs and the temporaries. One forward of all 2000 texts would hold
-    12 times ENCODE_CELLS cells in its window copy alone.
+    The inputs, as one table, exist before tracing starts, so the traced
+    peak holds the outputs and the temporaries. One forward of all 2000
+    texts would hold 12 times ENCODE_CELLS cells in its window copy alone.
     """
     params = _params("convrr", 64, np.float32)
-    texts = list(np.random.default_rng(n).normal(size=(n, 40, 64)).astype(np.float32))
+    matrices = np.random.default_rng(n).normal(size=(n, 40, 64)).astype(np.float32)
+    texts = encoder.as_token_texts(list(matrices))
     tracemalloc.start()
     try:
         out = encode_texts(texts, params)

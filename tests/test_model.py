@@ -10,6 +10,7 @@ from multires.errors import (
     DegenerateVectorError,
     IntegrityError,
     MiningError,
+    ShapeError,
 )
 from multires.model import (
     LossConfig,
@@ -22,7 +23,11 @@ from multires.model import (
     triplet_loss,
     zero_convrr_params,
 )
+from multires.model import encoder
 from multires.model.encoder import (
+    TokenTexts,
+    as_token_texts,
+    backward_many,
     convrr_backward,
     convrr_forward,
     encode_texts,
@@ -211,6 +216,71 @@ class TestGroupedEncode:
         per_text = [convrr_backward(x, params, g)[0] for x, g in zip(texts, upstream)]
         for got, parts in zip(grads, zip(*per_text)):
             assert np.allclose(got, sum(parts), atol=1e-12, rtol=0)
+
+
+class TestTokenTexts:
+    """Per-text matrices and compiled texts enter one gather path."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_the_adapter_keeps_dtype_and_rows(self, rng, dtype):
+        texts = [rng.normal(size=(k, 4)).astype(dtype) for k in (2, 1, 3)]
+        compiled = as_token_texts(texts)
+        assert compiled.table.dtype == dtype
+        for m, ids in zip(texts, compiled.ids):
+            assert compiled.table[ids].tobytes() == m.tobytes()
+
+    def test_texts_sharing_rows_encode_like_their_matrices(self, rng):
+        params = init_convrr_params(4, depth=1, window=3, rng=rng)
+        table = rng.normal(size=(5, 4)).astype(np.float32)
+        ids = [np.array([0, 1, 0]), np.array([4]), np.array([2, 2, 3])]
+        got = encode_texts(TokenTexts(table, ids), params)
+        assert got.tobytes() == encode_texts([table[i] for i in ids], params).tobytes()
+
+    def test_a_width_mismatch_is_a_shape_error(self, rng):
+        with pytest.raises(ShapeError, match=r"\(2, 3\) among \(k, 4\) texts"):
+            as_token_texts([np.zeros((1, 4)), np.zeros((2, 3))])
+
+    @pytest.mark.parametrize("kind", ["convrr", "fcrr"])
+    def test_a_zero_norm_text_is_named_by_its_input_position(self, rng, kind):
+        params = zero_convrr_params(4, depth=1) if kind == "convrr" else init_fcrr_params(4, rng=rng)
+        if kind == "fcrr":
+            params.weight[:] = 0.0
+        texts = [rng.normal(size=(2, 4)), rng.normal(size=(1, 4)), np.zeros((2, 4))]
+        with pytest.raises(DegenerateVectorError, match="^text 2: vector norm 0 ") as err:
+            encode_texts(texts, params)
+        assert err.value.position == 2
+
+
+class TestSkippedInputGradient:
+    """Training drops the gradient with respect to the inputs, so it is not computed."""
+
+    @pytest.mark.parametrize("kind", ["convrr", "fcrr"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_parameter_gradients_are_unchanged(self, rng, kind, dtype):
+        params, _ = _encoder(kind, 6, rng, dtype)
+        xs = rng.normal(size=(5, 4, 6)).astype(dtype)
+        upstream = rng.normal(size=(5, 6)).astype(dtype)
+        _, cache = encoder.forward_many(xs, params)
+        full, gx = backward_many(params, cache, upstream)
+        skipped, none = backward_many(params, cache, upstream, input_grad=False)
+        assert none is None and gx.shape == xs.shape
+        assert [g.tobytes() for g in skipped] == [g.tobytes() for g in full]
+
+    def test_grouped_backward_skips_it(self, rng, monkeypatch):
+        params, _ = _encoder("convrr", 4, rng, np.float64)
+        texts = [rng.normal(size=(k, 4)) for k in (1, 3, 1)]
+        _, groups = grouped_forward(texts, params)
+        seen = []
+        original = encoder.kernels.conv_backward
+
+        def recording(x, w, g, input_grad=True):
+            seen.append(input_grad)
+            return original(x, w, g, input_grad)
+
+        monkeypatch.setattr(encoder.kernels, "conv_backward", recording)
+        grouped_backward(params, groups, rng.normal(size=(3, 4)))
+        # per group, the last block's input gradient feeds the first block; the first's is dropped
+        assert seen == [True, False, True, False]
 
 
 class TestTripletLoss:

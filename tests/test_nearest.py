@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from multires.errors import NumericalError, ShapeError
 from multires.model import LossConfig, mine_hard
+from multires.model import encoder
 from multires.model.encoder import BLOCK_CELLS, nearest, row_sq_norms, squared_distances
 from multires.model.loss import triplet_loss, triplet_step
 from multires.numerics import finite_diff_check
@@ -375,3 +376,14 @@ def test_triplet_loss_takes_arrays():
     cfg = LossConfig(margin=1.0)
     got = triplet_loss(np.array([0.5, 0.2]), np.array([1.0, 1.5]), cfg)
     assert got.tolist() == [0.5, 0.0]
+
+
+@pytest.mark.parametrize("n, d", [(5003, 288), (1001, 4), (1001, 64)])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_row_sq_norms_do_not_depend_on_the_chunking(n, d, dtype, monkeypatch):
+    rows = np.random.default_rng(n + d).normal(size=(n, d)).astype(dtype)
+    v = rows.astype(np.float64)
+    whole = np.einsum("ij,ij->i", v, v)
+    for cells in (1, 7 * d, encoder.NORM_CELLS):
+        monkeypatch.setattr(encoder, "NORM_CELLS", cells)
+        assert row_sq_norms(rows).tobytes() == whole.tobytes()
