@@ -330,7 +330,7 @@ class TokenTexts:
     by id; ``take`` selects texts without copying the table.
     """
 
-    table: np.ndarray        # (V, d'')
+    table: np.ndarray  # (V, d'')
     ids: Sequence[np.ndarray]  # one intp array of k_i row indices per text
     names: Sequence[str] = ()
 

@@ -15,7 +15,13 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from multires.corpus import QaPair
-from multires.errors import ConfigError, DatasetError, IntegrityError, NumericalError
+from multires.errors import (
+    ConfigError,
+    DatasetError,
+    DegenerateVectorError,
+    IntegrityError,
+    NumericalError,
+)
 from multires.model import encoder as enc
 from multires.model.loss import LossConfig, mine_hard, triplet_step
 from multires.numerics.adam import AdamConfig, AdamState, adam_step
@@ -57,6 +63,15 @@ def _named_texts(texts: Mapping[str, np.ndarray] | enc.TokenTexts) -> enc.TokenT
     if not isinstance(texts, enc.TokenTexts):
         texts = enc.as_token_texts(list(texts.values()), tuple(texts))
     return replace(texts, table=texts.table.astype(np.float32, copy=False))
+
+
+def _encode_batch(texts: enc.TokenTexts, rows: list[int], params, kind: str):
+    """``grouped_forward`` of the texts at ``rows``; a zero-norm text is named by kind and id."""
+    try:
+        return enc.grouped_forward(texts.take(rows), params)
+    except DegenerateVectorError as exc:
+        row = rows[exc.position]
+        raise exc.at(row, f"{kind} {texts.names[row]!r}") from None
 
 
 def train(
@@ -126,12 +141,10 @@ def train(
         if full_scan or len(batch_doc_ids) < 2:  # one document leaves no negative to mine
             batch_doc_ids = all_doc_ids
 
-        anchors, query_groups = enc.grouped_forward(
-            queries.take([query_pos[p.query_id] for p in batch]), params
-        )
-        doc_outs, doc_groups = enc.grouped_forward(
-            docs.take([doc_pos[d] for d in batch_doc_ids]), params
-        )
+        query_rows = [query_pos[p.query_id] for p in batch]
+        anchors, query_groups = _encode_batch(queries, query_rows, params, "query")
+        doc_rows = [doc_pos[d] for d in batch_doc_ids]
+        doc_outs, doc_groups = _encode_batch(docs, doc_rows, params, "document")
         if not (np.isfinite(anchors).all() and np.isfinite(doc_outs).all()):
             raise NumericalError(f"iteration {iteration}: the encoded batch is non-finite")
         column = {did: i for i, did in enumerate(batch_doc_ids)}

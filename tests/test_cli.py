@@ -360,7 +360,7 @@ def _write_run(tmp_path, docs, pairs, vectors, spec, params):
 
 
 class TestZeroNormText:
-    """A text that encodes to a zero vector ends eval or index with exit 2 and its name.
+    """A text that encodes to a zero vector ends train, eval or index with exit 2 and its name.
 
     Under use_idf, "the" occurs in every document, so its weight is 0 and a
     text made of it composes to zeros; all-zero kernels and biases keep it
@@ -377,12 +377,13 @@ class TestZeroNormText:
         pairs = [("q1", query, "d1")]
         return _write_run(tmp_path, docs, pairs, vectors, self.SPEC, zero_convrr_params(4, depth=1))
 
-    def test_eval_names_the_query(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["eval", "train"])
+    def test_the_query_is_named(self, tmp_path, capsys, command):
         config = self._config(tmp_path, [("d1", "the cat"), ("d2", "the dog")], "the")
-        assert main(["eval", "--config", str(config)]) == 2
+        assert main([command, "--config", str(config)]) == 2
         assert "error: query 'q1': vector norm 0 at or below floor" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["eval", "index"])
+    @pytest.mark.parametrize("command", ["eval", "index", "train"])
     def test_the_document_is_named(self, tmp_path, capsys, command):
         docs = [("d1", "the cat"), ("d2", "the dog"), ("d3", "the the")]
         config = self._config(tmp_path, docs, "cat")
