@@ -349,16 +349,20 @@ def as_token_texts(texts, names: Sequence[str] = ()) -> TokenTexts:
     """
     if isinstance(texts, TokenTexts):
         return texts
-    matrices = [np.asarray(m) for m in texts]
+    matrices = list(texts)
     if not matrices:
         return TokenTexts(np.empty((0, 0), np.float32), [], tuple(names))
-    width = matrices[0].shape[-1]
-    bad = next((m.shape for m in matrices if m.ndim != 2 or m.shape[1] != width), None)
-    if bad is not None:
-        raise ShapeError(f"text matrix of shape {bad} among (k, {width}) texts")
-    starts = itertools.accumulate((m.shape[0] for m in matrices), initial=0)
-    ids = [np.arange(start, start + m.shape[0]) for start, m in zip(starts, matrices)]
-    return TokenTexts(np.concatenate(matrices), ids, tuple(names))
+    try:
+        table = np.concatenate(matrices)
+    except ValueError as exc:
+        raise ShapeError(f"text matrices do not concatenate: {exc}") from None
+    if table.ndim != 2:
+        raise ShapeError(f"text matrices must be (k, d), got rows of shape {table.shape[1:]}")
+    rows = np.arange(len(table), dtype=np.intp)
+    lengths = [len(m) for m in matrices]
+    starts = itertools.accumulate(lengths, initial=0)
+    ids = [rows[start:start + k] for start, k in zip(starts, lengths)]
+    return TokenTexts(table, ids, tuple(names))
 
 
 # Most first-layer GEMM cells (rows x K) that one batched forward of
@@ -394,7 +398,7 @@ def _forward_by_length(texts: TokenTexts, params, max_cells: int | None = None):
             parts = -(-len(idxs) // max(1, max_cells // params.text_cells(k)))
         for p in range(parts):
             part = idxs[p * len(idxs) // parts : (p + 1) * len(idxs) // parts]
-            block = np.array([texts.ids[i] for i in part], dtype=np.intp)
+            block = np.concatenate([texts.ids[i] for i in part]).reshape(len(part), k)
             try:
                 out, cache = forward_many(texts.table[block], params)
             except DegenerateVectorError as exc:

@@ -237,8 +237,10 @@ class TestTokenTexts:
         assert got.tobytes() == encode_texts([table[i] for i in ids], params).tobytes()
 
     def test_a_width_mismatch_is_a_shape_error(self, rng):
-        with pytest.raises(ShapeError, match=r"\(2, 3\) among \(k, 4\) texts"):
+        with pytest.raises(ShapeError, match="text matrices do not concatenate"):
             as_token_texts([np.zeros((1, 4)), np.zeros((2, 3))])
+        with pytest.raises(ShapeError, match=r"must be \(k, d\)"):
+            as_token_texts([np.zeros(4), np.zeros(3)])
 
     @pytest.mark.parametrize("kind", ["convrr", "fcrr"])
     def test_a_zero_norm_text_is_named_by_its_input_position(self, rng, kind):
