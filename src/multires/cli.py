@@ -26,7 +26,7 @@ from multires.embedding.stores import (
     read_context_free_store,
     write_context_free_store,
 )
-from multires.errors import DegenerateVectorError, EmptyTextError, MultiresError, ParseError
+from multires.errors import EmptyTextError, MultiresError, ParseError
 from multires.fileio import atomic_write, key_value_lines, open_text
 from multires.model.checkpoint import read_checkpoint, write_checkpoint
 from multires.model.encoder import TokenTexts, encode_texts
@@ -169,8 +169,8 @@ def _compile(cfg: RunConfig, docs, queries: dict[str, str]) -> tuple[TokenTexts,
     except EmptyTextError as exc:
         raise exc.at(exc.position, names[exc.position]) from None
     return (
-        TokenTexts(table, ids[:len(docs)], doc_ids),
-        TokenTexts(table, ids[len(docs):], query_ids),
+        TokenTexts(table, ids[:len(docs)], doc_ids, "document"),
+        TokenTexts(table, ids[len(docs):], query_ids, "query"),
     )
 
 
@@ -218,10 +218,7 @@ def cmd_index(args) -> int:
     docs = corpus_mod.load_corpus(cfg.corpus)
     doc_texts, _ = _compile(cfg, docs, {})
     params, _ = read_checkpoint(cfg.checkpoint)
-    try:
-        encoded = encode_texts(doc_texts, params)
-    except DegenerateVectorError as exc:
-        raise exc.at(exc.position, f"document {docs[exc.position].id!r}") from None
+    encoded = encode_texts(doc_texts, params)
     store = ContextFreeStore(
         "index", 1, encoded.shape[1], tokens=[d.id for d in docs], rows=encoded[:, None, :]
     )

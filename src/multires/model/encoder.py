@@ -11,12 +11,18 @@ construction: there is a single parameter object.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, replace
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from multires.errors import ConfigError, DegenerateVectorError, NumericalError, ShapeError
+from multires.errors import (
+    ConfigError,
+    DegenerateVectorError,
+    IntegrityError,
+    NumericalError,
+    ShapeError,
+)
 from multires.numerics import kernels
 from multires.numerics.ops import (
     l2_normalize,
@@ -326,43 +332,62 @@ def mean_embedding_encode(x: np.ndarray) -> np.ndarray:
 class TokenTexts:
     """Texts as rows of one table: text i's (k_i, d'') matrix is ``table[ids[i]]``.
 
-    ``names`` holds the texts' ids, in order, where a caller looks texts up
-    by id; ``take`` selects texts without copying the table.
+    ``names`` holds the texts' ids, in order, or nothing; ``kind`` says what
+    the texts are. An error about text i names it by kind and id, or by
+    kind and position when the texts have no names. ``take`` selects texts
+    without copying the table.
     """
 
     table: np.ndarray  # (V, d'')
     ids: Sequence[np.ndarray]  # one intp array of k_i row indices per text
     names: Sequence[str] = ()
+    kind: str = "text"
+
+    def __post_init__(self):
+        if len(self.names) not in (0, len(self.ids)):
+            raise ShapeError(f"{len(self.names)} names for {len(self.ids)} texts")
 
     def __len__(self) -> int:
         return len(self.ids)
 
+    def name(self, i: int) -> str:
+        return f"{self.kind} {self.names[i]!r}" if self.names else f"{self.kind} {i}"
+
     def take(self, positions: Sequence[int]) -> "TokenTexts":
-        return TokenTexts(self.table, [self.ids[i] for i in positions])
+        names = [self.names[i] for i in positions] if self.names else ()
+        return TokenTexts(self.table, [self.ids[i] for i in positions], names, self.kind)
 
 
-def as_token_texts(texts, names: Sequence[str] = ()) -> TokenTexts:
-    """TokenTexts as given, or per-text (k_i, d'') matrices concatenated into one table.
+def as_token_texts(texts, kind: str, dtype=None) -> TokenTexts:
+    """Named texts of one kind as TokenTexts, the table cast to ``dtype`` if given.
 
-    The table keeps the matrices' dtype; text i's ids are the rows its
-    matrix occupies.
+    ``texts`` are TokenTexts with names, an {id: (k_i, d'') matrix} mapping
+    or (id, matrix) pairs. Matrices are copied, in order, into one table
+    (text i's ids are the rows its matrix occupies), which keeps their
+    dtype unless ``dtype`` is given; a table already in ``dtype`` is kept.
     """
     if isinstance(texts, TokenTexts):
-        return texts
-    matrices = list(texts)
-    if not matrices:
-        return TokenTexts(np.empty((0, 0), np.float32), [], tuple(names))
-    try:
-        table = np.concatenate(matrices)
-    except ValueError as exc:
-        raise ShapeError(f"text matrices do not concatenate: {exc}") from None
-    if table.ndim != 2:
-        raise ShapeError(f"text matrices must be (k, d), got rows of shape {table.shape[1:]}")
-    rows = np.arange(len(table), dtype=np.intp)
-    lengths = [len(m) for m in matrices]
-    starts = itertools.accumulate(lengths, initial=0)
-    ids = [rows[start:start + k] for start, k in zip(starts, lengths)]
-    return TokenTexts(table, ids, tuple(names))
+        table = texts.table if dtype is None else texts.table.astype(dtype, copy=False)
+        texts = replace(texts, table=table, kind=kind)
+    else:
+        pairs = list(texts.items() if isinstance(texts, Mapping) else texts)
+        names = tuple(name for name, _ in pairs)
+        matrices = [np.asarray(m) for _, m in pairs]
+        for name, m in zip(names, matrices):
+            if m.ndim != 2 or m.shape[1] != matrices[0].shape[-1]:
+                expected = f"(k, {matrices[0].shape[-1]})"
+                raise ShapeError(f"{kind} {name!r}: matrix of shape {m.shape}, expected {expected}")
+        if not matrices:
+            return TokenTexts(np.empty((0, 0), dtype or np.float32), [], (), kind)
+        table = np.concatenate(matrices, dtype=dtype)
+        rows = np.arange(len(table), dtype=np.intp)
+        lengths = [len(m) for m in matrices]
+        starts = itertools.accumulate(lengths, initial=0)
+        ids = [rows[start:start + k] for start, k in zip(starts, lengths)]
+        texts = TokenTexts(table, ids, names, kind)
+    if len(texts) and not texts.names:
+        raise IntegrityError(f"{kind} texts carry no ids")
+    return texts
 
 
 # Most first-layer GEMM cells (rows x K) that one batched forward of
@@ -370,11 +395,30 @@ def as_token_texts(texts, names: Sequence[str] = ()) -> TokenTexts:
 ENCODE_CELLS = 1 << 21
 
 
-def _forward_by_length(texts: TokenTexts, params, max_cells: int | None = None):
+def _gather(texts, part: list[int], k: int) -> np.ndarray:
+    """The (len(part), k, d'') block of the texts at ``part``, all of length k.
+
+    TokenTexts gather it from their table with one fancy index; per-text
+    matrices concatenate only the part's own, so the inputs are never
+    copied whole.
+    """
+    if isinstance(texts, TokenTexts):
+        return texts.table[np.concatenate([texts.ids[i] for i in part]).reshape(len(part), k)]
+    try:
+        rows = np.concatenate([texts[i] for i in part])
+    except ValueError as exc:
+        raise ShapeError(f"text matrices do not concatenate: {exc}") from None
+    if rows.ndim != 2:
+        raise ShapeError(f"text matrices must be (k, d), got rows of shape {rows.shape[1:]}")
+    return rows.reshape(len(part), k, rows.shape[1])
+
+
+def _forward_by_length(texts, params, max_cells: int | None = None):
     """Yield (input positions, outputs, cache) per part of a group of equal-length texts.
 
-    Groups run shortest texts first, each through one batched forward of a
-    block gathered from the table with one fancy index. With
+    ``texts`` are TokenTexts or a sequence of (k_i, d'') matrices. Groups
+    run shortest texts first, each part through one batched forward of the
+    block ``_gather`` builds. With
     ``max_cells``, a group whose first-layer GEMM would read more than
     ``max_cells`` cells (rows x K, ``params.text_cells``) runs in near-equal
     parts of whole texts. If f texts fit the budget (f >= 1, so a text too
@@ -386,11 +430,11 @@ def _forward_by_length(texts: TokenTexts, params, max_cells: int | None = None):
     and the parts' outputs equal one forward of the group bit for bit
     (checked on the BLAS in use by ``tests/test_encode_parts.py``). A text
     that encodes to a zero-norm vector raises ``DegenerateVectorError`` at
-    its input position.
+    its input position, named by ``TokenTexts.name`` or as "text i".
     """
     by_len: dict[int, list[int]] = {}
-    for i, row_ids in enumerate(texts.ids):
-        by_len.setdefault(len(row_ids), []).append(i)
+    for i, rows in enumerate(texts.ids if isinstance(texts, TokenTexts) else texts):
+        by_len.setdefault(len(rows), []).append(i)
     for k in sorted(by_len):
         idxs = by_len[k]
         parts = 1
@@ -398,25 +442,24 @@ def _forward_by_length(texts: TokenTexts, params, max_cells: int | None = None):
             parts = -(-len(idxs) // max(1, max_cells // params.text_cells(k)))
         for p in range(parts):
             part = idxs[p * len(idxs) // parts : (p + 1) * len(idxs) // parts]
-            block = np.concatenate([texts.ids[i] for i in part]).reshape(len(part), k)
             try:
-                out, cache = forward_many(texts.table[block], params)
+                out, cache = forward_many(_gather(texts, part, k), params)
             except DegenerateVectorError as exc:
                 pos = part[exc.position]
-                raise exc.at(pos, f"text {pos}") from None
+                name = texts.name(pos) if isinstance(texts, TokenTexts) else f"text {pos}"
+                raise exc.at(pos, name) from None
             yield part, out, cache
 
 
 def grouped_forward(texts, params) -> tuple[np.ndarray, list[tuple[list[int], dict]]]:
     """Encode texts of possibly different lengths and keep what the backward needs.
 
-    ``texts`` are TokenTexts or per-text matrices (see ``as_token_texts``).
+    ``texts`` are TokenTexts or a sequence of (k_i, d'') matrices.
     Returns the outputs, rows in input order, and per length group its
     input positions and forward cache, which ``grouped_backward`` consumes.
     A group is never split into parts: its kernel gradient is one GEMM
     summing over all its texts, and parts would change that sum's order.
     """
-    texts = as_token_texts(texts)
     outputs = np.zeros((0, params.dim), dtype=np.float32)
     groups = []
     for idxs, out, cache in _forward_by_length(texts, params):
@@ -444,16 +487,15 @@ def grouped_backward(
 def encode_texts(texts, params) -> np.ndarray:
     """Encode texts of possibly different lengths; rows follow input order.
 
-    ``texts`` are TokenTexts or per-text matrices (see ``as_token_texts``).
-    The outputs equal ``grouped_forward``'s bit for bit, but each length
+    ``texts`` are TokenTexts or a sequence of (k_i, d'') matrices. The
+    outputs equal ``grouped_forward``'s bit for bit, but each length
     group runs in parts of at most ``ENCODE_CELLS`` first-layer GEMM cells
     (a text larger than that runs alone), and each part's cache is dropped
     as soon as the part is done. So the memory beyond the inputs and the
     outputs is one part's, whatever the number of texts. A text that
     encodes to a zero-norm vector raises ``DegenerateVectorError`` naming
-    its input position.
+    it (see ``_forward_by_length``).
     """
-    texts = as_token_texts(texts)
     outputs = np.zeros((0, params.dim), dtype=np.float32)
     for n, (idxs, out, _) in enumerate(_forward_by_length(texts, params, ENCODE_CELLS)):
         if n == 0:

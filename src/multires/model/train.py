@@ -9,7 +9,7 @@ one seed are bitwise identical.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -18,7 +18,6 @@ from multires.corpus import QaPair
 from multires.errors import (
     ConfigError,
     DatasetError,
-    DegenerateVectorError,
     IntegrityError,
     NumericalError,
 )
@@ -58,22 +57,6 @@ class TrainResult:
     active_fractions: list[float] = field(default_factory=list)
 
 
-def _named_texts(texts: Mapping[str, np.ndarray] | enc.TokenTexts) -> enc.TokenTexts:
-    """Named float32 texts from TokenTexts or an {id: matrix} mapping."""
-    if not isinstance(texts, enc.TokenTexts):
-        texts = enc.as_token_texts(list(texts.values()), tuple(texts))
-    return replace(texts, table=texts.table.astype(np.float32, copy=False))
-
-
-def _encode_batch(texts: enc.TokenTexts, rows: list[int], params, kind: str):
-    """``grouped_forward`` of the texts at ``rows``; a zero-norm text is named by kind and id."""
-    try:
-        return enc.grouped_forward(texts.take(rows), params)
-    except DegenerateVectorError as exc:
-        row = rows[exc.position]
-        raise exc.at(row, f"{kind} {texts.names[row]!r}") from None
-
-
 def train(
     pairs: Sequence[QaPair],
     query_matrices: Mapping[str, np.ndarray] | enc.TokenTexts,
@@ -83,7 +66,8 @@ def train(
 ) -> TrainResult:
     """Train the encoder on (query, positive document) pairs, one pair per query id.
 
-    Texts are named TokenTexts or {id: (k, d'') matrix} mappings. Per
+    Texts are named TokenTexts or {id: (k, d'') matrix} mappings; mappings
+    are copied into one float32 table, which each batch gathers from. Per
     iteration: sample a batch without replacement (reshuffling once the
     pool is exhausted), encode queries and documents with shared parameters,
     mine a hardest negative per anchor, average the triplet losses, and take
@@ -93,7 +77,8 @@ def train(
         raise ConfigError(f"encoder_kind must be 'convrr' or 'fcrr', got {encoder_kind!r}")
     if not pairs:
         raise DatasetError("no training pairs")
-    queries, docs = _named_texts(query_matrices), _named_texts(doc_matrices)
+    queries = enc.as_token_texts(query_matrices, "query", np.float32)
+    docs = enc.as_token_texts(doc_matrices, "document", np.float32)
     query_pos = {qid: i for i, qid in enumerate(queries.names)}
     doc_pos = {did: i for i, did in enumerate(docs.names)}
     if len(doc_pos) < 2:
@@ -142,9 +127,9 @@ def train(
             batch_doc_ids = all_doc_ids
 
         query_rows = [query_pos[p.query_id] for p in batch]
-        anchors, query_groups = _encode_batch(queries, query_rows, params, "query")
+        anchors, query_groups = enc.grouped_forward(queries.take(query_rows), params)
         doc_rows = [doc_pos[d] for d in batch_doc_ids]
-        doc_outs, doc_groups = _encode_batch(docs, doc_rows, params, "document")
+        doc_outs, doc_groups = enc.grouped_forward(docs.take(doc_rows), params)
         if not (np.isfinite(anchors).all() and np.isfinite(doc_outs).all()):
             raise NumericalError(f"iteration {iteration}: the encoded batch is non-finite")
         column = {did: i for i, did in enumerate(batch_doc_ids)}

@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Collection, Mapping, Sequence
 
 import numpy as np
 
 from multires.errors import (
     ContractError,
-    DegenerateVectorError,
     DuplicateIdError,
     EmptyIndexError,
     IntegrityError,
@@ -134,21 +133,23 @@ def evaluate(
     mean-embedding baseline. ``candidates`` optionally restricts each
     query's search to a per-query document list (candidate-list mode);
     the default searches the full corpus. Texts are named TokenTexts or
-    (id, matrix) pairs. Each query id appears once in ``queries``; its
-    ``gold`` is one document id or a collection of them. A text that
-    encodes to a zero-norm vector raises ``DegenerateVectorError`` naming it.
+    (id, matrix) pairs; pairs are copied into one float32 table. Each query
+    id appears once in ``queries``; its ``gold`` is one document id or a
+    collection of them. A text that encodes to a zero-norm vector raises
+    ``DegenerateVectorError`` naming it.
     """
     if not ks:
         raise IntegrityError("no k values requested")
     ks = sorted(set(int(k) for k in ks))
     if ks[0] < 1:
         raise ShapeError(f"k must be >= 1, got {ks[0]}")
-    queries, docs = _named_texts(queries), _named_texts(docs)
+    queries = as_token_texts(queries, "query", np.float32)
+    docs = as_token_texts(docs, "document", np.float32)
     repeated = [qid for qid, n in Counter(queries.names).items() if n > 1]
     if repeated:
         raise IntegrityError(f"query id {repeated[0]!r} repeats; give it once, with all its gold")
-    index = RetrievalIndex(tuple(docs.names), _encode_all(docs, params, "document"))
-    query_vecs = _encode_all(queries, params, "query")
+    index = RetrievalIndex(tuple(docs.names), _encode_all(docs, params))
+    query_vecs = _encode_all(queries, params)
 
     max_k = max(ks)
     rankings: dict[str, list[str]] = {}
@@ -173,18 +174,8 @@ def evaluate(
     return EvalReport(num_queries=len(queries), recalls=recalls)
 
 
-def _named_texts(texts: TokenTexts | Sequence[tuple[str, np.ndarray]]) -> TokenTexts:
-    if isinstance(texts, TokenTexts):
-        return texts
-    return as_token_texts([m for _, m in texts], [name for name, _ in texts])
-
-
-def _encode_all(texts: TokenTexts, params, kind: str) -> np.ndarray:
-    """Encoded float32 rows in input order, as one (len(texts), d'') array."""
-    texts = replace(texts, table=texts.table.astype(np.float32, copy=False))
+def _encode_all(texts: TokenTexts, params) -> np.ndarray:
+    """Encoded rows in input order, as one (len(texts), d'') array."""
     if params is None:
         return np.array([mean_embedding_encode(texts.table[i]) for i in texts.ids])
-    try:
-        return encode_texts(texts, params)
-    except DegenerateVectorError as exc:
-        raise exc.at(exc.position, f"{kind} {texts.names[exc.position]!r}") from None
+    return encode_texts(texts, params)

@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from multires.model import encoder
 from multires.model.encoder import (
     ENCODE_CELLS,
+    TokenTexts,
     encode_texts,
     grouped_forward,
     init_convrr_params,
@@ -82,7 +83,7 @@ def test_parts_equal_one_forward_of_the_group(kind, k, dim, n, dtype, monkeypatc
 def test_split_rule(lengths, max_cells):
     """Near-equal parts of whole texts, each within the budget, at least half full."""
     params = _params("convrr", 2, np.float64)
-    texts = encoder.as_token_texts([np.ones((k, 2)) for k in lengths])
+    texts = [np.ones((k, 2)) for k in lengths]
     parts = [idxs for idxs, _, _ in encoder._forward_by_length(texts, params, max_cells)]
     assert sorted(i for part in parts for i in part) == list(range(len(texts)))
     for k in sorted(set(lengths)):
@@ -99,17 +100,7 @@ def test_split_rule(lengths, max_cells):
             assert sizes == [len(group)] and len(group) <= fit
 
 
-@pytest.mark.parametrize("n", [250, 2000])
-def test_encode_memory_is_bounded(n):
-    """convrr, depth 2, k=40, d''=64: the memory encode_texts adds stays bounded.
-
-    The inputs, as one table, exist before tracing starts, so the traced
-    peak holds the outputs and the temporaries. One forward of all 2000
-    texts would hold 12 times ENCODE_CELLS cells in its window copy alone.
-    """
-    params = _params("convrr", 64, np.float32)
-    matrices = np.random.default_rng(n).normal(size=(n, 40, 64)).astype(np.float32)
-    texts = encoder.as_token_texts(list(matrices))
+def _check_encode_memory(texts, params) -> None:
     tracemalloc.start()
     try:
         out = encode_texts(texts, params)
@@ -117,3 +108,27 @@ def test_encode_memory_is_bounded(n):
     finally:
         tracemalloc.stop()
     assert peak - out.nbytes < 4 * ENCODE_CELLS * out.itemsize
+
+
+@pytest.mark.parametrize("n", [250, 2000])
+def test_encode_memory_is_bounded(n):
+    """convrr, depth 2, k=40, d''=64: the memory encode_texts adds stays bounded.
+
+    The inputs exist before tracing starts, so the traced peak holds the
+    outputs and the temporaries. One forward of all 2000 texts would hold
+    12 times ENCODE_CELLS cells in its window copy alone, and a copy of all
+    the inputs 2.4 times.
+    """
+    params = _params("convrr", 64, np.float32)
+    texts = list(np.random.default_rng(n).normal(size=(n, 40, 64)).astype(np.float32))
+    _check_encode_memory(texts, params)
+
+
+@pytest.mark.parametrize("n", [250, 2000])
+def test_encode_memory_is_bounded_for_token_texts(n):
+    """As above, with the texts given as rows of one table."""
+    params = _params("convrr", 64, np.float32)
+    table = np.random.default_rng(n).normal(size=(n * 40, 64)).astype(np.float32)
+    rows = np.arange(len(table))
+    texts = TokenTexts(table, [rows[i * 40:(i + 1) * 40] for i in range(n)])
+    _check_encode_memory(texts, params)

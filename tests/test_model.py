@@ -39,6 +39,7 @@ from multires.model.encoder import (
 )
 from multires.numerics import finite_diff_check
 from multires.numerics.adam import AdamConfig
+from multires.retrieval import evaluate
 
 
 def straight_line_convrr(X, params):
@@ -219,15 +220,23 @@ class TestGroupedEncode:
 
 
 class TestTokenTexts:
-    """Per-text matrices and compiled texts enter one gather path."""
+    """Named texts become one table; per-text matrices and tables enter one gather path."""
 
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_the_adapter_keeps_dtype_and_rows(self, rng, dtype):
-        texts = [rng.normal(size=(k, 4)).astype(dtype) for k in (2, 1, 3)]
-        compiled = as_token_texts(texts)
-        assert compiled.table.dtype == dtype
-        for m, ids in zip(texts, compiled.ids):
-            assert compiled.table[ids].tobytes() == m.tobytes()
+    @pytest.mark.parametrize("dtype", [None, np.float32])
+    @pytest.mark.parametrize("form", ["pairs", "mapping"])
+    def test_the_adapter_copies_rows_in_order(self, rng, dtype, form):
+        named = [(n, rng.normal(size=(k, 4))) for n, k in [("b", 2), ("a", 1), ("c", 3)]]
+        texts = as_token_texts(dict(named) if form == "mapping" else named, "query", dtype)
+        assert texts.names == ("b", "a", "c") and texts.kind == "query"
+        assert texts.table.dtype == (dtype or np.float64)
+        for (_, m), ids in zip(named, texts.ids):
+            assert texts.table[ids].tobytes() == m.astype(dtype or m.dtype).tobytes()
+
+    def test_the_adapter_keeps_a_table_already_in_dtype(self, rng):
+        table = rng.normal(size=(3, 4)).astype(np.float32)
+        texts = TokenTexts(table, [np.array([0, 2])], ["d1"])
+        got = as_token_texts(texts, "document", np.float32)
+        assert got.table is table and got.name(0) == "document 'd1'"
 
     def test_texts_sharing_rows_encode_like_their_matrices(self, rng):
         params = init_convrr_params(4, depth=1, window=3, rng=rng)
@@ -237,10 +246,26 @@ class TestTokenTexts:
         assert got.tobytes() == encode_texts([table[i] for i in ids], params).tobytes()
 
     def test_a_width_mismatch_is_a_shape_error(self, rng):
+        params = init_convrr_params(4, depth=1, window=3, rng=rng)
         with pytest.raises(ShapeError, match="text matrices do not concatenate"):
-            as_token_texts([np.zeros((1, 4)), np.zeros((2, 3))])
+            encode_texts([np.ones((1, 4)), np.ones((1, 3))], params)
         with pytest.raises(ShapeError, match=r"must be \(k, d\)"):
-            as_token_texts([np.zeros(4), np.zeros(3)])
+            encode_texts([np.ones(4), np.ones(4)], params)
+        with pytest.raises(ShapeError, match=r"^document 'y': matrix of shape \(2, 3\)"):
+            as_token_texts({"x": np.ones((1, 4)), "y": np.ones((2, 3))}, "document")
+
+    def test_names_must_match_the_texts(self):
+        with pytest.raises(ShapeError, match="1 names for 2 texts"):
+            TokenTexts(np.ones((1, 4)), [np.array([0]), np.array([0])], ["a"])
+
+    def test_train_and_evaluate_need_named_texts(self):
+        pairs, queries, docs = two_cluster_pairs()
+        unnamed = as_token_texts(docs, "document")
+        unnamed = TokenTexts(unnamed.table, unnamed.ids)
+        with pytest.raises(IntegrityError, match="^document texts carry no ids"):
+            train(pairs, queries, unnamed, "convrr", TrainConfig(iterations=1, batch_size=4))
+        with pytest.raises(IntegrityError, match="^document texts carry no ids"):
+            evaluate(None, list(queries.items()), unnamed, [1], {p.query_id: p.positive_doc_id for p in pairs})
 
     @pytest.mark.parametrize("kind", ["convrr", "fcrr"])
     def test_a_zero_norm_text_is_named_by_its_input_position(self, rng, kind):
@@ -250,6 +275,10 @@ class TestTokenTexts:
         texts = [rng.normal(size=(2, 4)), rng.normal(size=(1, 4)), np.zeros((2, 4))]
         with pytest.raises(DegenerateVectorError, match="^text 2: vector norm 0 ") as err:
             encode_texts(texts, params)
+        assert err.value.position == 2
+        named = as_token_texts(zip("abc", texts), "query")
+        with pytest.raises(DegenerateVectorError, match="^query 'c': vector norm 0 ") as err:
+            encode_texts(named, params)
         assert err.value.position == 2
 
 
