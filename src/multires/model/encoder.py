@@ -413,12 +413,22 @@ def _gather(texts, part: list[int], k: int) -> np.ndarray:
     return rows.reshape(len(part), k, rows.shape[1])
 
 
+def _text_cells(texts, params, k: int) -> int:
+    """First-layer GEMM cells of one text of k positions; its input cells for the baseline."""
+    if params is not None:
+        return params.text_cells(k)
+    return k * (texts.table if isinstance(texts, TokenTexts) else texts[0]).shape[1]
+
+
 def _forward_by_length(texts, params, max_cells: int | None = None):
     """Yield (input positions, outputs, cache) per part of a group of equal-length texts.
 
     ``texts`` are TokenTexts or a sequence of (k_i, d'') matrices. Groups
     run shortest texts first, each part through one batched forward of the
-    block ``_gather`` builds. With
+    block ``_gather`` builds; with ``params`` None, through one
+    ``mean_over_positions`` and one ``l2_normalize`` (the mean-embedding
+    baseline, no cache), whose rows equal ``mean_embedding_encode`` of each
+    text alone bit for bit. With
     ``max_cells``, a group whose first-layer GEMM would read more than
     ``max_cells`` cells (rows x K, ``params.text_cells``) runs in near-equal
     parts of whole texts. If f texts fit the budget (f >= 1, so a text too
@@ -439,11 +449,15 @@ def _forward_by_length(texts, params, max_cells: int | None = None):
         idxs = by_len[k]
         parts = 1
         if max_cells is not None:
-            parts = -(-len(idxs) // max(1, max_cells // params.text_cells(k)))
+            parts = -(-len(idxs) // max(1, max_cells // _text_cells(texts, params, k)))
         for p in range(parts):
             part = idxs[p * len(idxs) // parts : (p + 1) * len(idxs) // parts]
             try:
-                out, cache = forward_many(_gather(texts, part, k), params)
+                xs = _gather(texts, part, k)
+                if params is None:
+                    out, cache = l2_normalize(mean_over_positions(xs)), None
+                else:
+                    out, cache = forward_many(xs, params)
             except DegenerateVectorError as exc:
                 pos = part[exc.position]
                 name = texts.name(pos) if isinstance(texts, TokenTexts) else f"text {pos}"
@@ -487,20 +501,23 @@ def grouped_backward(
 def encode_texts(texts, params) -> np.ndarray:
     """Encode texts of possibly different lengths; rows follow input order.
 
-    ``texts`` are TokenTexts or a sequence of (k_i, d'') matrices. The
-    outputs equal ``grouped_forward``'s bit for bit, but each length
-    group runs in parts of at most ``ENCODE_CELLS`` first-layer GEMM cells
-    (a text larger than that runs alone), and each part's cache is dropped
-    as soon as the part is done. So the memory beyond the inputs and the
-    outputs is one part's, whatever the number of texts. A text that
-    encodes to a zero-norm vector raises ``DegenerateVectorError`` naming
-    it (see ``_forward_by_length``).
+    ``texts`` are TokenTexts or a sequence of (k_i, d'') matrices;
+    ``params`` are ConvRRParams/FCRRParams, or None for the mean-embedding
+    baseline. The outputs equal ``grouped_forward``'s bit for bit, but each
+    length group runs in parts of at most ``ENCODE_CELLS`` first-layer GEMM
+    cells (input cells for the baseline; a text larger than that runs
+    alone), and each part's cache is dropped as soon as the part is done.
+    So the memory beyond the inputs and the outputs is one part's, whatever
+    the number of texts. A text that encodes to a zero-norm vector raises
+    ``DegenerateVectorError`` naming it (see ``_forward_by_length``).
     """
-    outputs = np.zeros((0, params.dim), dtype=np.float32)
-    for n, (idxs, out, _) in enumerate(_forward_by_length(texts, params, ENCODE_CELLS)):
-        if n == 0:
-            outputs = np.empty((len(texts), params.dim), dtype=out.dtype)
+    outputs = None
+    for idxs, out, _ in _forward_by_length(texts, params, ENCODE_CELLS):
+        if outputs is None:
+            outputs = np.empty((len(texts), out.shape[1]), dtype=out.dtype)
         outputs[idxs] = out
+    if outputs is None:
+        return np.zeros((0, params.dim if params is not None else 0), dtype=np.float32)
     return outputs
 
 

@@ -4,10 +4,28 @@ Both kernels implement "same" zero-padded 1-D convolution over the
 position axis, batched over a leading text dimension. The forward copies
 every position's window of ws zero-padded rows into one C-order
 (B*k, ws*d_in) block and multiplies it by the kernels as a C-order
-(ws*d_in, n_k) matrix in one ``np.dot``: a gemm with no transposed
-operand ("NN"). The sums run through BLAS gemms, whose summation order
-follows the BLAS thread count, so results are bitwise reproducible at a
-fixed thread count.
+(ws*d_in, n_k) matrix: a gemm with no transposed operand ("NN"). The sums
+run through BLAS gemms, whose summation order follows the BLAS thread
+count, so results are bitwise reproducible at a fixed BLAS thread count,
+whatever the number of cores.
+
+A large gemm runs in near-equal chunks of output rows, one per usable
+core (``os.sched_getaffinity``): the forward's product and the input
+gradient's by texts, the kernel gradient's by output kernels. The calling
+thread allocates every buffer and runs the first chunk; a pool of
+(usable cores - 1) threads runs the others, each filling and multiplying
+into its own slice only. A chunk holds at least ``CHUNK_ROWS`` rows and
+about ``CHUNK_MACS`` multiply-adds, past the BLAS's small-matrix and
+matrix-vector paths, where the BLAS computes each row of a product the
+same way whatever the number of rows; so the bits do not depend on the
+split (``tests/test_kernel_split.py``). A gemm under two chunks' work, and
+every gemm on one usable core, runs inline and starts no thread. A pool
+thread binds itself to a usable core other than the calling thread's
+before it runs a chunk: on the 2-core VM where the split was measured,
+the kernel's scheduler otherwise left it on the caller's core, and a
+split product took as long as the whole one. The split assumes one BLAS
+thread per core; with more, the bits stay the same but the threads
+oversubscribe the cores.
 
 The kernels operand is C-order whatever the kernels' memory layout, so
 results never depend on that layout. The model keeps its kernels in
@@ -19,7 +37,8 @@ the transposed operand of an "NT" gemm, which OpenBLAS 0.3.31 ran 1.7x
 slower on a 12 x 1440 x 288 product (one 12-position text at d''=288)
 and, for products of a few rows, sums in another order than NN.
 
-Shapes (everything row-major, any float dtype):
+Shapes (everything row-major, any float dtype; mixed inputs run in their
+common dtype):
     x    (B, k, d_in)    batch of texts, k positions, d_in features
     w    (n_k, ws, d_in) n_k kernels spanning ws contiguous positions
     b    (n_k,)          per-kernel bias
@@ -28,8 +47,28 @@ Shapes (everything row-major, any float dtype):
 
 from __future__ import annotations
 
+import ctypes
+import os
+from concurrent.futures import ThreadPoolExecutor
+from typing import Callable
+
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
+
+# Least multiply-adds and rows per chunk of a split gemm, so that no chunk
+# takes the BLAS's small-matrix or matrix-vector path. A gemm under
+# 2 * CHUNK_MACS runs inline: the serving loop's one-query products (about
+# 5 M) and every product of run_clustered_benchmark (at most about 42 M),
+# where a split gained nothing; at d''=288 a split paid from about 60 M.
+CHUNK_MACS = 1 << 25
+CHUNK_ROWS = 32
+
+_pool: ThreadPoolExecutor | None = None
+
+try:  # the core the calling thread runs on, or -1
+    _current_core = ctypes.CDLL(None).sched_getcpu
+except (OSError, AttributeError):
+    _current_core = None
 
 
 def active_backend() -> str:
@@ -37,38 +76,145 @@ def active_backend() -> str:
     return "numpy"
 
 
+def usable_cores() -> int:
+    """Cores this process may run on; a split gemm runs one chunk per core."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform: never split
+        return 1
+
+
+def _forget_pool() -> None:
+    """A forked child has none of its parent's threads: it starts its own pool."""
+    global _pool
+    _pool = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _chunks(units: int, rows: int, macs: int) -> list[tuple[int, int]]:
+    """Near-equal [lo, hi) ranges of ``units`` for a gemm of ``rows`` rows and ``macs`` work."""
+    n = min(units, macs // CHUNK_MACS, rows // CHUNK_ROWS)
+    n = min(n, usable_cores()) if n > 1 else 1
+    return [(i * units // n, (i + 1) * units // n) for i in range(n)]
+
+
+def _run(chunk: Callable[[int, int], None], bounds: list[tuple[int, int]]) -> None:
+    """Run ``chunk(lo, hi)`` for every range, the first on this thread, the others on the pool.
+
+    Returns once every chunk has finished; then re-raises the error of the
+    first chunk, in range order, that failed.
+    """
+    global _pool
+    if len(bounds) == 1:
+        chunk(*bounds[0])
+        return
+    if _pool is None:
+        _pool = ThreadPoolExecutor(max(1, usable_cores() - 1), thread_name_prefix="multires-gemm")
+    others = sorted(os.sched_getaffinity(0) - {_current_core() if _current_core else -1})
+    futures = [
+        _pool.submit(_on_core, others[i % len(others)] if others else None, chunk, lo, hi)
+        for i, (lo, hi) in enumerate(bounds[1:])
+    ]
+    try:
+        chunk(*bounds[0])
+        errors = [None]
+    except BaseException as exc:
+        errors = [exc]
+    errors += [future.exception() for future in futures]  # waits for every chunk
+    error = next((e for e in errors if e is not None), None)
+    if error is not None:
+        raise error
+
+
+def _on_core(core: int | None, chunk: Callable[[int, int], None], lo: int, hi: int) -> None:
+    """Bind this pool thread to ``core``, off the calling thread's, and run the chunk."""
+    if core is not None:
+        try:
+            os.sched_setaffinity(0, {core})
+        except OSError:  # the core left the process's set: run where the scheduler puts it
+            pass
+    chunk(lo, hi)
+
+
 def conv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     """x (B,k,d), w (n_k,ws,d), b (n_k,) -> (B,k,n_k)."""
     batch, k, d = x.shape
     n_k, ws, _ = w.shape
     pad = (ws - 1) // 2
-    xp = np.zeros((batch, k + ws - 1, d), dtype=x.dtype)
+    dt = np.result_type(x, w, b)
+    xp = np.zeros((batch, k + ws - 1, d), dtype=dt)
     xp[:, pad:pad + k] = x
     # win[i, t, s] is row t + s of padded text i: the window of position t
     win = as_strided(xp, (batch, k, ws, d), xp.strides[:2] + xp.strides[1:], writeable=False)
-    kern = np.ascontiguousarray(w.transpose(1, 2, 0)).reshape(ws * d, n_k)
-    out = np.dot(win.reshape(batch * k, ws * d), kern)
-    return out.reshape(batch, k, n_k) + b
+    kern = np.ascontiguousarray(w.transpose(1, 2, 0), dtype=dt).reshape(ws * d, n_k)
+    bias = b.astype(dt, copy=False)
+    out = np.empty((batch, k, n_k), dtype=dt)
+    cols = np.empty((batch, k, ws, d), dtype=dt)
+
+    def texts(lo: int, hi: int) -> None:
+        cols[lo:hi] = win[lo:hi]
+        rows = out[lo:hi].reshape(-1, n_k)
+        np.dot(cols[lo:hi].reshape(-1, ws * d), kern, out=rows)
+        rows += bias
+
+    _run(texts, _chunks(batch, batch * k, batch * k * ws * d * n_k))
+    return out
 
 
 def conv_backward(
     x: np.ndarray, w: np.ndarray, g: np.ndarray, input_grad: bool = True
 ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
-    """Gradients of conv_forward: returns (gx, gw, gb); gx is None without ``input_grad``."""
+    """Gradients of conv_forward: returns (gx, gw, gb); gx is None without ``input_grad``.
+
+    gw is ``np.tensordot(g, windows, axes=([0, 1], [0, 1]))`` over the (d, ws)
+    windows, returned in GEMM-major memory order; the input gradient sums
+    the windows' gradients ``np.tensordot(g, w, axes=([2], [0]))`` tap by tap.
+    """
     batch, k, d = x.shape
     n_k, ws, _ = w.shape
     pad = (ws - 1) // 2
-    xp = np.zeros((batch, k + 2 * pad, d), dtype=x.dtype)
-    xp[:, pad:pad + k, :] = x
-    win = np.lib.stride_tricks.sliding_window_view(xp, ws, axis=1)  # (B,k,d,ws)
-    gw = np.tensordot(g, win, axes=([0, 1], [0, 1]))  # (n_k, d, ws)
-    gw = np.ascontiguousarray(gw.transpose(2, 1, 0)).transpose(2, 0, 1)  # (n_k, ws, d), GEMM-major
+    dt = np.result_type(x, w, g)
+    g = g.astype(dt, copy=False)
+    g_rows = g.reshape(batch * k, n_k)
+    macs = batch * k * ws * d * n_k
+    xp = np.zeros((batch, k + ws - 1, d), dtype=dt)
+    xp[:, pad:pad + k] = x
+    win = sliding_window_view(xp, ws, axis=1)  # (B,k,d,ws)
+    block = np.empty((batch, k, d, ws), dtype=dt)
+
+    def windows(lo: int, hi: int) -> None:
+        block[lo:hi] = win[lo:hi]
+
+    _run(windows, _chunks(batch, batch * k, macs))
+    cols = block.reshape(batch * k, d * ws)
+    g_kernels = g_rows.T  # (n_k, B*k): the transposed operand tensordot passes
+    gw_rows = np.empty((n_k, d * ws), dtype=dt)
+
+    def kernel_grads(lo: int, hi: int) -> None:
+        # matmul, unlike dot, multiplies a row slice of the transposed operand without a copy
+        np.matmul(g_kernels[lo:hi], cols, out=gw_rows[lo:hi])
+
+    _run(kernel_grads, _chunks(n_k, n_k, macs))
+    if not input_grad:
+        del block, cols  # spent: free them before the copy below
+    # GEMM-major, as ConvBlock keeps kernels
+    gw = np.ascontiguousarray(gw_rows.reshape(n_k, d, ws).transpose(2, 1, 0)).transpose(2, 0, 1)
+    del gw_rows
     gb = g.sum(axis=(0, 1))
     if not input_grad:
         return None, gw, gb
-    gwin = np.tensordot(g, np.ascontiguousarray(w), axes=([2], [0]))  # (B, k, ws, d), NN gemm
+    kern = np.ascontiguousarray(w, dtype=dt).reshape(n_k, ws * d)
+    gwin = block.reshape(batch, k, ws, d)  # the windows are spent: the block takes their gradients
+
+    def input_grads(lo: int, hi: int) -> None:
+        np.dot(g_rows[lo * k:hi * k], kern, out=gwin[lo:hi].reshape(-1, ws * d))
+
+    _run(input_grads, _chunks(batch, batch * k, macs))
+    del kern
     gxp = np.zeros_like(xp)
     for s in range(ws):
-        gxp[:, s:s + k, :] += gwin[:, :, s, :]
-    gx = gxp[:, pad:pad + k, :]
-    return gx, gw, gb
+        gxp[:, s:s + k] += gwin[:, :, s]
+    return gxp[:, pad:pad + k], gw, gb

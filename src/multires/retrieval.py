@@ -29,7 +29,6 @@ from multires.model.encoder import (
     TokenTexts,
     as_token_texts,
     encode_texts,
-    mean_embedding_encode,
     nearest,
     row_sq_norms,
 )
@@ -148,8 +147,8 @@ def evaluate(
     repeated = [qid for qid, n in Counter(queries.names).items() if n > 1]
     if repeated:
         raise IntegrityError(f"query id {repeated[0]!r} repeats; give it once, with all its gold")
-    index = RetrievalIndex(tuple(docs.names), _encode_all(docs, params))
-    query_vecs = _encode_all(queries, params)
+    index = RetrievalIndex(tuple(docs.names), encode_texts(docs, params))
+    query_vecs = encode_texts(queries, params)
 
     max_k = max(ks)
     rankings: dict[str, list[str]] = {}
@@ -173,9 +172,3 @@ def evaluate(
     recalls = {k: recall_at_k(rankings, gold, k) for k in ks}
     return EvalReport(num_queries=len(queries), recalls=recalls)
 
-
-def _encode_all(texts: TokenTexts, params) -> np.ndarray:
-    """Encoded rows in input order, as one (len(texts), d'') array."""
-    if params is None:
-        return np.array([mean_embedding_encode(texts.table[i]) for i in texts.ids])
-    return encode_texts(texts, params)

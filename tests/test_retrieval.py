@@ -8,12 +8,14 @@ import pytest
 
 from multires.errors import (
     ContractError,
+    DegenerateVectorError,
     DuplicateIdError,
     EmptyIndexError,
     IntegrityError,
     ShapeError,
 )
-from multires.model import init_convrr_params, zero_convrr_params
+from multires.model import encoder, init_convrr_params, zero_convrr_params
+from multires.model.encoder import TokenTexts, encode_texts, mean_embedding_encode
 from multires.retrieval import (
     EvalReport,
     RetrievalIndex,
@@ -254,3 +256,32 @@ class TestEvaluate:
         report = EvalReport(num_queries=4, recalls={1: 0.25, 3: 0.5, 5: 1.0})
         payload = json.loads(report.to_json())
         assert payload == {"num_queries": 4, "recall": {"1": 0.25, "3": 0.5, "5": 1.0}}
+
+
+class TestMeanEmbeddingBaseline:
+    """``evaluate(None, ...)`` encodes by length group through ``encode_texts(texts, None)``."""
+
+    @staticmethod
+    def _texts(rng, n=40, dim=16):
+        lengths = rng.integers(1, 6, size=n)
+        table = rng.normal(size=(int(lengths.sum()) + 3, dim)).astype(np.float32)
+        ids = [rng.integers(0, len(table), size=k) for k in lengths]
+        return TokenTexts(table, ids, [f"d{i}" for i in range(n)], "document")
+
+    @pytest.mark.parametrize("cells", [None, 5 * 16])
+    def test_rows_equal_each_text_encoded_alone(self, rng, cells, monkeypatch):
+        texts = self._texts(rng)
+        if cells is not None:  # length groups run in parts of at most 5 one-token texts
+            monkeypatch.setattr(encoder, "ENCODE_CELLS", cells)
+        want = np.array([mean_embedding_encode(texts.table[i]) for i in texts.ids])
+        got = encode_texts(texts, None)
+        assert got.dtype == np.float32 and got.tobytes() == want.tobytes()
+        matrices = [texts.table[i] for i in texts.ids]
+        assert encode_texts(matrices, None).tobytes() == want.tobytes()
+
+    def test_a_zero_norm_document_is_named(self):
+        docs = [("d1", np.ones((2, 3), dtype=np.float32)), ("d2", np.zeros((2, 3), dtype=np.float32))]
+        queries = [("q1", np.ones((1, 3), dtype=np.float32))]
+        with pytest.raises(DegenerateVectorError, match=r"^document 'd2': vector norm 0 ") as info:
+            evaluate(None, queries, docs, [1], {"q1": "d1"})
+        assert info.value.position == 1
