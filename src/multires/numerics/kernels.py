@@ -67,6 +67,7 @@ _pool: ThreadPoolExecutor | None = None
 
 try:  # the core the calling thread runs on, or -1
     _current_core = ctypes.CDLL(None).sched_getcpu
+    _current_core.argtypes, _current_core.restype = [], ctypes.c_int
 except (OSError, AttributeError):
     _current_core = None
 

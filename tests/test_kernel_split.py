@@ -11,6 +11,7 @@ threshold on the BLAS in use.
 
 import multiprocessing
 import os
+import sys
 import threading
 import time
 
@@ -141,6 +142,32 @@ def test_the_first_failed_chunk_in_range_order_is_raised(monkeypatch):
         kernels._run(chunk, [(0, 1), (1, 2), (2, 3)])
 
 
+def test_concurrent_callers_and_more_chunks_than_cores_keep_the_bytes(monkeypatch):
+    x, w, b, g = _case(ws=3, dtype=np.float32, **SPLIT)
+    _cores(monkeypatch, 1)
+    want = kernels.conv_forward(x, w, b).tobytes(), kernels.conv_backward(x, w, g)[1].tobytes()
+    _cores(monkeypatch, 4)
+    results = []
+
+    def caller():
+        for _ in range(5):
+            got = kernels.conv_forward(x, w, b).tobytes(), kernels.conv_backward(x, w, g)[1].tobytes()
+            results.append(got == want)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=caller) for _ in range(2)]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(120)
+        assert not any(t.is_alive() for t in callers)
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [True] * 10
+
+
 def _encode_in_child(conn, x, w, b):
     conn.send((kernels._pool is None, kernels.conv_forward(x, w, b).tobytes()))
     conn.close()
@@ -159,8 +186,9 @@ def test_a_forked_child_starts_its_own_pool(monkeypatch):
     try:
         assert parent_end.poll(60), "the forked child hung"
         fresh, got = parent_end.recv()
-    finally:
         child.join(10)
+        assert child.exitcode == 0
+    finally:
         if child.is_alive():
             child.kill()
     assert fresh and got == want.tobytes()
