@@ -153,10 +153,13 @@ def conv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     kern = np.ascontiguousarray(w.transpose(1, 2, 0), dtype=dt).reshape(ws * d, n_k)
     bias = b.astype(dt, copy=False)
     out = np.empty((batch, k, n_k), dtype=dt)
-    cols = np.empty((batch, k, ws, d), dtype=dt)
+    # With one position or one tap, the windows are the padded rows themselves.
+    copy = k > 1 and ws > 1
+    cols = np.empty((batch, k, ws, d), dtype=dt) if copy else win
 
     def texts(lo: int, hi: int) -> None:
-        cols[lo:hi] = win[lo:hi]
+        if copy:
+            cols[lo:hi] = win[lo:hi]
         rows = out[lo:hi].reshape(-1, n_k)
         np.dot(cols[lo:hi].reshape(-1, ws * d), kern, out=rows)
         rows += bias
