@@ -152,20 +152,22 @@ def conv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     win = as_strided(xp, (batch, k, ws, d), xp.strides[:2] + xp.strides[1:], writeable=False)
     kern = np.ascontiguousarray(w.transpose(1, 2, 0), dtype=dt).reshape(ws * d, n_k)
     bias = b.astype(dt, copy=False)
-    out = np.empty((batch, k, n_k), dtype=dt)
     # With one position or one tap, the windows are the padded rows themselves.
     copy = k > 1 and ws > 1
     cols = np.empty((batch, k, ws, d), dtype=dt) if copy else win
+    out = np.empty((batch, k, n_k), dtype=dt)
 
     def texts(lo: int, hi: int) -> None:
         if copy:
             cols[lo:hi] = win[lo:hi]
-        rows = out[lo:hi].reshape(-1, n_k)
-        np.dot(cols[lo:hi].reshape(-1, ws * d), kern, out=rows)
-        rows += bias
+        np.dot(cols[lo:hi].reshape(-1, ws * d), kern, out=out[lo:hi].reshape(-1, n_k))
 
     _run(texts, _chunks(batch, batch * k, batch * k * ws * d * n_k))
-    return out
+    # The unsplit kernel's allocations in its order, which glibc serves without
+    # fresh pages on run_clustered_benchmark's shapes (a bias added in place
+    # cost 1376 page faults per two-block forward there).
+    del cols
+    return out + bias
 
 
 def conv_backward(
@@ -202,8 +204,7 @@ def conv_backward(
         np.matmul(g_kernels[lo:hi], cols, out=gw_rows[lo:hi])
 
     _run(kernel_grads, _chunks(n_k, n_k, macs))
-    if not input_grad:
-        del block, cols  # spent: free them before the copy below
+    del block, cols  # spent: free them before the copy below
     # GEMM-major, as ConvBlock keeps kernels
     gw = np.ascontiguousarray(gw_rows.reshape(n_k, d, ws).transpose(2, 1, 0)).transpose(2, 0, 1)
     del gw_rows
@@ -211,7 +212,7 @@ def conv_backward(
     if not input_grad:
         return None, gw, gb
     kern = np.ascontiguousarray(w, dtype=dt).reshape(n_k, ws * d)
-    gwin = block.reshape(batch, k, ws, d)  # the windows are spent: the block takes their gradients
+    gwin = np.empty((batch, k, ws, d), dtype=dt)
 
     def input_grads(lo: int, hi: int) -> None:
         np.dot(g_rows[lo * k:hi * k], kern, out=gwin[lo:hi].reshape(-1, ws * d))
