@@ -22,7 +22,7 @@ split (``tests/test_kernel_split.py``). A gemm under two chunks' work, and
 every gemm on one usable core, runs inline and starts no thread. A pool
 thread binds itself to a usable core other than the calling thread's
 before it runs a chunk: on the 2-core VM where the split was measured,
-the kernel's scheduler otherwise left it on the caller's core, and a
+the operating system's scheduler otherwise left it on the caller's core, and a
 split product took as long as the whole one. The split assumes one BLAS
 thread per core; with more, the bits stay the same but the threads
 oversubscribe the cores.
