@@ -10,22 +10,22 @@ count, so results are bitwise reproducible at a fixed BLAS thread count,
 whatever the number of cores.
 
 A large gemm runs in near-equal chunks of output rows, one per usable
-core (``os.sched_getaffinity``): the forward's product and the input
-gradient's by texts, the kernel gradient's by output kernels. The calling
-thread allocates every buffer and runs the first chunk; a pool of
-(usable cores - 1) threads runs the others, each filling and multiplying
+core (``os.sched_getaffinity``) left over per BLAS thread: the forward's
+product and the input gradient's by texts, the kernel gradient's by output
+kernels. The calling thread allocates every buffer and runs the first
+chunk; a pool of threads runs the others, each filling and multiplying
 into its own slice only. A chunk holds at least ``CHUNK_ROWS`` rows and
 about ``CHUNK_MACS`` multiply-adds, past the BLAS's small-matrix and
 matrix-vector paths, where the BLAS computes each row of a product the
 same way whatever the number of rows; so the bits do not depend on the
-split (``tests/test_kernel_split.py``). A gemm under two chunks' work, and
-every gemm on one usable core, runs inline and starts no thread. A pool
-thread binds itself to a usable core other than the calling thread's
-before it runs a chunk: on the 2-core VM where the split was measured,
-the operating system's scheduler otherwise left it on the caller's core, and a
-split product took as long as the whole one. The split assumes one BLAS
-thread per core; with more, the bits stay the same but the threads
-oversubscribe the cores.
+split (``tests/test_kernel_split.py``). A gemm under two chunks' work runs
+inline and starts no thread, and so does every gemm when the BLAS runs
+more than half as many threads as there are usable cores, or its thread
+count cannot be read (a BLAS other than OpenBLAS). While it runs a chunk,
+a pool thread binds itself to a usable core other than the calling
+thread's: on the 2-core VM where the split was measured, the operating
+system's scheduler otherwise left it on the caller's core, and a split
+product took as long as the whole one.
 
 The kernels operand is C-order whatever the kernels' memory layout, so
 results never depend on that layout. The model keeps its kernels in
@@ -49,11 +49,17 @@ from __future__ import annotations
 
 import ctypes
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
+
+try:
+    from numpy._core import _multiarray_umath as _umath
+except ImportError:  # numpy < 2
+    from numpy.core import _multiarray_umath as _umath
 
 # Least multiply-adds and rows per chunk of a split gemm, so that no chunk
 # takes the BLAS's small-matrix or matrix-vector path. A gemm under
@@ -64,12 +70,36 @@ CHUNK_MACS = 1 << 25
 CHUNK_ROWS = 32
 
 _pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
 
-try:  # the core the calling thread runs on, or -1
-    _current_core = ctypes.CDLL(None).sched_getcpu
-    _current_core.argtypes, _current_core.restype = [], ctypes.c_int
-except (OSError, AttributeError):
-    _current_core = None
+_current_core = None  # the core the calling thread runs on, or -1
+if hasattr(os, "sched_setaffinity"):
+    try:
+        _current_core = ctypes.CDLL(None).sched_getcpu
+        _current_core.argtypes, _current_core.restype = [], ctypes.c_int
+    except (OSError, AttributeError):
+        pass
+
+
+def _openblas_threads_getter() -> Callable[[], int] | None:
+    """OpenBLAS's thread-count getter, found from numpy's own extension module, or None."""
+    try:
+        lib = ctypes.CDLL(_umath.__file__)  # dlsym searches the libraries it links too
+    except (OSError, TypeError):
+        return None
+    for symbol in (
+        "scipy_openblas_get_num_threads64_",
+        "openblas_get_num_threads64_",
+        "openblas_get_num_threads",
+    ):
+        fn = getattr(lib, symbol, None)
+        if fn is not None:
+            fn.argtypes, fn.restype = [], ctypes.c_int
+            return fn
+    return None
+
+
+_openblas_threads = _openblas_threads_getter()
 
 
 def active_backend() -> str:
@@ -78,17 +108,32 @@ def active_backend() -> str:
 
 
 def usable_cores() -> int:
-    """Cores this process may run on; a split gemm runs one chunk per core."""
+    """Cores this process may run on."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform: never split
         return 1
 
 
+def blas_threads() -> int | None:
+    """Threads the loaded OpenBLAS runs a gemm on, or None when that cannot be read."""
+    return int(_openblas_threads()) if _openblas_threads is not None else None
+
+
+def split_workers() -> int:
+    """Chunks a large gemm runs in at once: the usable cores per BLAS thread.
+
+    1, so no split, when the BLAS already runs a thread per usable core or
+    its thread count cannot be read.
+    """
+    threads = blas_threads()
+    return max(1, usable_cores() // threads) if threads else 1
+
+
 def _forget_pool() -> None:
     """A forked child has none of its parent's threads: it starts its own pool."""
-    global _pool
-    _pool = None
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
 
 
 if hasattr(os, "register_at_fork"):
@@ -98,8 +143,16 @@ if hasattr(os, "register_at_fork"):
 def _chunks(units: int, rows: int, macs: int) -> list[tuple[int, int]]:
     """Near-equal [lo, hi) ranges of ``units`` for a gemm of ``rows`` rows and ``macs`` work."""
     n = min(units, macs // CHUNK_MACS, rows // CHUNK_ROWS)
-    n = min(n, usable_cores()) if n > 1 else 1
+    n = min(n, split_workers()) if n > 1 else 1
     return [(i * units // n, (i + 1) * units // n) for i in range(n)]
+
+
+def _get_pool() -> ThreadPoolExecutor:
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(max(1, usable_cores() - 1), thread_name_prefix="multires-gemm")
+        return _pool
 
 
 def _run(chunk: Callable[[int, int], None], bounds: list[tuple[int, int]]) -> None:
@@ -108,15 +161,13 @@ def _run(chunk: Callable[[int, int], None], bounds: list[tuple[int, int]]) -> No
     Returns once every chunk has finished; then re-raises the error of the
     first chunk, in range order, that failed.
     """
-    global _pool
     if len(bounds) == 1:
         chunk(*bounds[0])
         return
-    if _pool is None:
-        _pool = ThreadPoolExecutor(max(1, usable_cores() - 1), thread_name_prefix="multires-gemm")
+    pool = _get_pool()
     others = sorted(os.sched_getaffinity(0) - {_current_core() if _current_core else -1})
     futures = [
-        _pool.submit(_on_core, others[i % len(others)] if others else None, chunk, lo, hi)
+        pool.submit(_on_core, others[i % len(others)] if others else None, chunk, lo, hi)
         for i, (lo, hi) in enumerate(bounds[1:])
     ]
     try:
@@ -131,13 +182,26 @@ def _run(chunk: Callable[[int, int], None], bounds: list[tuple[int, int]]) -> No
 
 
 def _on_core(core: int | None, chunk: Callable[[int, int], None], lo: int, hi: int) -> None:
-    """Bind this pool thread to ``core``, off the calling thread's, and run the chunk."""
-    if core is not None:
+    """Run the chunk with this pool thread bound to ``core``, off the calling thread's.
+
+    The thread gets its own affinity back when the chunk ends, so the
+    binding lasts one chunk and never outlives the core choice it came from.
+    """
+    if core is None:
+        chunk(lo, hi)
+        return
+    saved = os.sched_getaffinity(0)
+    try:
+        os.sched_setaffinity(0, {core})
+    except OSError:  # the core left the process's set: run where the scheduler puts it
+        pass
+    try:
+        chunk(lo, hi)
+    finally:
         try:
-            os.sched_setaffinity(0, {core})
-        except OSError:  # the core left the process's set: run where the scheduler puts it
+            os.sched_setaffinity(0, saved)
+        except OSError:  # none of the saved cores is left: keep the binding
             pass
-    chunk(lo, hi)
 
 
 def conv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -190,11 +254,7 @@ def conv_backward(
     xp[:, pad:pad + k] = x
     win = sliding_window_view(xp, ws, axis=1)  # (B,k,d,ws)
     block = np.empty((batch, k, d, ws), dtype=dt)
-
-    def windows(lo: int, hi: int) -> None:
-        block[lo:hi] = win[lo:hi]
-
-    _run(windows, _chunks(batch, batch * k, macs))
+    block[...] = win
     cols = block.reshape(batch * k, d * ws)
     g_kernels = g_rows.T  # (n_k, B*k): the transposed operand tensordot passes
     gw_rows = np.empty((n_k, d * ws), dtype=dt)

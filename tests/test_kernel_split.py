@@ -2,15 +2,16 @@
 
 The kernels split the forward's and the input gradient's products by texts
 and the kernel gradient's product by output kernels. These tests patch the
-usable core count to 1, 2 and 3 on shapes whose work crosses the split
-threshold in chunks of unequal size, and require the same bytes. That
-rests on the BLAS computing a row of a product the same way whatever the
-number of rows past its small-matrix paths, so the tests run at the real
-threshold on the BLAS in use.
+BLAS thread count to 1 and the usable core count to 1, 2 and 3 on shapes
+whose work crosses the split threshold in chunks of unequal size, and
+require the same bytes. That rests on the BLAS computing a row of a
+product the same way whatever the number of rows past its small-matrix
+paths, so the tests run at the real threshold on the BLAS in use.
 """
 
 import multiprocessing
 import os
+import subprocess
 import sys
 import threading
 import time
@@ -39,8 +40,9 @@ def chunk_counts(monkeypatch):
     return counts
 
 
-def _cores(monkeypatch, n):
+def _cores(monkeypatch, n, blas_threads=1):
     monkeypatch.setattr(kernels, "usable_cores", lambda: n)
+    monkeypatch.setattr(kernels, "blas_threads", lambda: blas_threads)
 
 
 def _case(batch, k, d, n_k, ws, dtype):
@@ -85,9 +87,9 @@ def test_backward_bytes_do_not_depend_on_the_core_count(
         for part, ref in zip(got, want):
             assert part is None or part.tobytes() == ref.tobytes()
         assert got[1].transpose(1, 2, 0).flags.c_contiguous  # still GEMM-major
-    # windows by texts, their product by kernels (145: chunks of 72/73 and 48/48/49), then
-    # the input gradient's product by texts
-    phases = 3 if input_grad else 2
+    # the windows' product by kernels (145: chunks of 72/73 and 48/48/49), then the
+    # input gradient's product by texts
+    phases = 2 if input_grad else 1
     assert chunk_counts == [n for n in (1, 2, 3) for _ in range(phases)]
 
 
@@ -101,7 +103,7 @@ def test_a_gemm_just_below_the_threshold_starts_no_thread(monkeypatch, chunk_cou
     threads = threading.active_count()
     kernels.conv_forward(x, w, b)
     kernels.conv_backward(x, w, g)
-    assert chunk_counts == [1, 1, 1, 1]
+    assert chunk_counts == [1, 1, 1]
     assert kernels._pool is None and threading.active_count() == threads
 
 
@@ -111,6 +113,67 @@ def test_one_usable_core_runs_inline(monkeypatch, chunk_counts):
     monkeypatch.setattr(kernels, "_pool", None)
     kernels.conv_forward(x, w, b)
     assert chunk_counts == [1] and kernels._pool is None
+
+
+@pytest.mark.parametrize(
+    "cores, blas_threads, workers",
+    [(1, 1, 1), (2, 1, 2), (3, 1, 3), (2, 2, 1), (4, 2, 2), (5, 2, 2), (2, 4, 1), (4, None, 1)],
+)
+def test_the_split_takes_the_cores_the_blas_threads_leave(cores, blas_threads, workers, monkeypatch):
+    _cores(monkeypatch, cores, blas_threads)
+    assert kernels.split_workers() == workers
+
+
+def test_a_blas_thread_per_core_runs_inline(monkeypatch, chunk_counts):
+    x, w, b, g = _case(ws=5, dtype=np.float32, **SPLIT)
+    _cores(monkeypatch, 2, blas_threads=2)
+    monkeypatch.setattr(kernels, "_pool", None)
+    kernels.conv_forward(x, w, b)
+    kernels.conv_backward(x, w, g)
+    assert chunk_counts == [1, 1, 1] and kernels._pool is None
+
+
+@pytest.mark.skipif(kernels.blas_threads() is None, reason="the BLAS thread count is unreadable")
+def test_blas_threads_reads_the_loaded_blas():
+    src = os.path.dirname(os.path.dirname(os.path.dirname(kernels.__file__)))  # multires' root
+    counts = sorted({1, min(2, len(os.sched_getaffinity(0)))})
+    for n in counts:
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(n), PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", "from multires.numerics import kernels; print(kernels.blas_threads())"],
+            env=env, capture_output=True, text=True, check=True, timeout=60,
+        )
+        assert out.stdout.strip() == str(n)
+
+
+def test_concurrent_first_calls_start_one_pool(monkeypatch):
+    made = []
+    executor = kernels.ThreadPoolExecutor
+
+    def slow_pool(*args, **kwargs):
+        time.sleep(0.05)  # widen the window between the check and the assignment
+        made.append(executor(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(kernels, "_pool", None)
+    monkeypatch.setattr(kernels, "ThreadPoolExecutor", slow_pool)
+    pools = []
+    start = threading.Barrier(4)
+
+    def first_use():
+        start.wait()
+        pools.append(kernels._get_pool())
+
+    callers = [threading.Thread(target=first_use) for _ in range(4)]
+    try:
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(10)
+    finally:
+        for pool in made:
+            pool.shutdown()
+    assert len(made) == 1 and len(pools) == 4 and all(pool is made[0] for pool in pools)
 
 
 def test_a_failed_chunk_surfaces_after_every_chunk_has_finished(monkeypatch):
@@ -231,8 +294,10 @@ def test_a_pool_thread_runs_its_chunk_off_the_calling_threads_core(monkeypatch):
     cores = {}
 
     def chunk(lo, hi):
-        cores[lo] = (threading.get_ident(), os.sched_getaffinity(0))
+        cores[lo] = (threading.get_native_id(), os.sched_getaffinity(0))
 
     kernels._run(chunk, [(0, 1), (1, 2)])
     (caller, caller_set), (worker, worker_set) = cores[0], cores[1]
     assert worker != caller and len(worker_set) == 1 and worker_set < caller_set
+    # the binding ends with the chunk: an idle pool thread may run on any usable core
+    assert os.sched_getaffinity(worker) == caller_set
