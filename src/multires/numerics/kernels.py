@@ -9,6 +9,25 @@ run through BLAS gemms, whose summation order follows the BLAS thread
 count, so results are bitwise reproducible at a fixed BLAS thread count,
 whatever the number of cores.
 
+The backward multiplies only the taps that reach a row of the text: for
+texts of k positions, the central min(ws, 2k - 1); the others read and
+write zero padding only. Its two products keep the B*k rows and trim their
+columns, so each kept entry sums the same terms, and the kernel gradient
+holds +0.0 at the dropped taps, as a product of exact zeros gives. A
+product trims only when it keeps more than one row and more than one
+column: a one-row product takes the BLAS's matrix-vector path, whose sums
+follow the row length (trimmed, the input gradient of one float32 text of
+one position at d=4 changed bits at ws=5 and 7). Whether a narrower
+product sums each entry in the same order is the BLAS's choice. On
+OpenBLAS 0.3.31 (SkylakeX kernels) the trimmed products gave the untrimmed
+ones' bits at every shape tried with n_k = d'' and d'' in {4, 8, 64, 96,
+128, 288}, at one and two BLAS threads; at d'' in {16, 32, 50, 100, 300}
+some shapes differed in the last bit, the narrower product taking another
+of the BLAS's kernel paths. The forward keeps every tap: trimming its
+summed dimension changed bits on the same BLAS at one thread in 40 of 144
+short-text shapes (ws 3 to 7, d'' 4 to 288), among them two-position texts at
+d'' = 288 and ws=5 and one-row products at d'' = 32.
+
 A large gemm runs in near-equal chunks of output rows, one per usable
 core (``os.sched_getaffinity``) left over per BLAS thread: the forward's
 product and the input gradient's by texts, the kernel gradient's by output
@@ -234,6 +253,19 @@ def conv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out + bias
 
 
+def _taps(rows: int, d: int, k: int, ws: int) -> tuple[int, int]:
+    """[lo, hi) of the taps a backward product of ``rows`` rows multiplies for k-position texts.
+
+    The central ``min(ws, 2k - 1)`` taps, the ones that reach a row of the
+    text, when the trimmed product keeps more than one row and more than
+    one column; every tap otherwise, since a one-row or one-column product
+    takes the BLAS's matrix-vector path, whose sums follow the row length.
+    """
+    pad = (ws - 1) // 2
+    lo, hi = max(0, pad - k + 1), min(ws, pad + k)
+    return (lo, hi) if rows > 1 and (hi - lo) * d > 1 else (0, ws)
+
+
 def conv_backward(
     x: np.ndarray, w: np.ndarray, g: np.ndarray, input_grad: bool = True
 ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
@@ -242,44 +274,61 @@ def conv_backward(
     gw is ``np.tensordot(g, windows, axes=([0, 1], [0, 1]))`` over the (d, ws)
     windows, returned in GEMM-major memory order; the input gradient sums
     the windows' gradients ``np.tensordot(g, w, axes=([2], [0]))`` tap by tap.
+
+    Both products multiply only the taps that reach a row of the text (the
+    central ``min(ws, 2k - 1)``, see ``_taps``) and sum over the same B*k
+    rows; gw holds +0.0 at the other taps, as a product of exact zeros
+    gives, and gx gets no term from them. Whether the kept entries keep
+    tensordot's bits depends on the BLAS (see the module docstring). Texts
+    with no position get the forward's mirror: a (B, 0, d) gx and +0.0 in
+    gw and gb.
     """
     batch, k, d = x.shape
     n_k, ws, _ = w.shape
     pad = (ws - 1) // 2
     dt = np.result_type(x, w, g)
     g = g.astype(dt, copy=False)
+    if k == 0:
+        gx = np.zeros((batch, 0, d), dtype=dt) if input_grad else None
+        return gx, np.zeros((ws, d, n_k), dtype=dt).transpose(2, 0, 1), g.sum(axis=(0, 1))
     g_rows = g.reshape(batch * k, n_k)
-    macs = batch * k * ws * d * n_k
+    lo, hi = _taps(n_k, d, k, ws)
+    taps = hi - lo
     xp = np.zeros((batch, k + ws - 1, d), dtype=dt)
     xp[:, pad:pad + k] = x
-    win = sliding_window_view(xp, ws, axis=1)  # (B,k,d,ws)
-    block = np.empty((batch, k, d, ws), dtype=dt)
+    win = sliding_window_view(xp[:, lo:lo + k + taps - 1], taps, axis=1)  # (B,k,d,taps)
+    block = np.empty((batch, k, d, taps), dtype=dt)
     block[...] = win
-    cols = block.reshape(batch * k, d * ws)
+    cols = block.reshape(batch * k, d * taps)
     g_kernels = g_rows.T  # (n_k, B*k): the transposed operand tensordot passes
-    gw_rows = np.empty((n_k, d * ws), dtype=dt)
+    gw_rows = np.empty((n_k, d * taps), dtype=dt)
 
-    def kernel_grads(lo: int, hi: int) -> None:
+    def kernel_grads(first: int, last: int) -> None:
         # matmul, unlike dot, multiplies a row slice of the transposed operand without a copy
-        np.matmul(g_kernels[lo:hi], cols, out=gw_rows[lo:hi])
+        np.matmul(g_kernels[first:last], cols, out=gw_rows[first:last])
 
-    _run(kernel_grads, _chunks(n_k, n_k, macs))
+    _run(kernel_grads, _chunks(n_k, n_k, batch * k * taps * d * n_k))
     del block, cols  # spent: free them before the copy below
-    # GEMM-major, as ConvBlock keeps kernels
-    gw = np.ascontiguousarray(gw_rows.reshape(n_k, d, ws).transpose(2, 1, 0)).transpose(2, 0, 1)
+    gw = np.empty((ws, d, n_k), dtype=dt)  # GEMM-major, as ConvBlock keeps kernels
+    gw[:lo] = 0
+    gw[hi:] = 0
+    gw[lo:hi] = gw_rows.reshape(n_k, d, taps).transpose(2, 1, 0)
+    gw = gw.transpose(2, 0, 1)
     del gw_rows
     gb = g.sum(axis=(0, 1))
     if not input_grad:
         return None, gw, gb
-    kern = np.ascontiguousarray(w, dtype=dt).reshape(n_k, ws * d)
-    gwin = np.empty((batch, k, ws, d), dtype=dt)
+    lo, hi = _taps(batch * k, d, k, ws)
+    taps = hi - lo
+    kern = np.ascontiguousarray(w[:, lo:hi], dtype=dt).reshape(n_k, taps * d)
+    gwin = np.empty((batch, k, taps, d), dtype=dt)
 
-    def input_grads(lo: int, hi: int) -> None:
-        np.dot(g_rows[lo * k:hi * k], kern, out=gwin[lo:hi].reshape(-1, ws * d))
+    def input_grads(first: int, last: int) -> None:
+        np.dot(g_rows[first * k:last * k], kern, out=gwin[first:last].reshape(-1, taps * d))
 
-    _run(input_grads, _chunks(batch, batch * k, macs))
+    _run(input_grads, _chunks(batch, batch * k, batch * k * taps * d * n_k))
     del kern
     gxp = np.zeros_like(xp)
-    for s in range(ws):
-        gxp[:, s:s + k] += gwin[:, :, s]
+    for s in range(lo, hi):
+        gxp[:, s:s + k] += gwin[:, :, s - lo]
     return gxp[:, pad:pad + k], gw, gb

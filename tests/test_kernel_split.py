@@ -107,6 +107,38 @@ def test_a_gemm_just_below_the_threshold_starts_no_thread(monkeypatch, chunk_cou
     assert kernels._pool is None and threading.active_count() == threads
 
 
+def test_a_trimmed_backward_under_two_chunks_runs_inline(monkeypatch, chunk_counts):
+    # 200 one-position texts at ws=5, d = n_k = 288: the full window's products would do
+    # 200 x 1440 x 288 = 83 M multiply-adds, two chunks' work; the one tap that reaches
+    # a row leaves 17 M.
+    x, w, _, g = _case(batch=200, k=1, d=288, n_k=288, ws=5, dtype=np.float32)
+    assert 200 * 5 * 288 * 288 >= 2 * kernels.CHUNK_MACS > 200 * 288 * 288
+    _cores(monkeypatch, 1)
+    want = kernels.conv_backward(x, w, g)
+    _cores(monkeypatch, 2)
+    monkeypatch.setattr(kernels, "_pool", None)
+    for part, ref in zip(kernels.conv_backward(x, w, g), want):
+        assert part.tobytes() == ref.tobytes()
+    assert chunk_counts == [1, 1, 1, 1] and kernels._pool is None
+
+
+# Texts shorter than the window whose trimmed products still do three chunks' work:
+# 1300 x 288 x 288 = 108 M multiply-adds with one tap, 500 x 864 x 288 = 124 M with three.
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("batch, k, ws", [(1300, 1, 5), (250, 2, 7)])
+def test_trimmed_backward_bytes_do_not_depend_on_the_core_count(
+    batch, k, ws, dtype, monkeypatch, chunk_counts
+):
+    x, w, _, g = _case(batch=batch, k=k, d=288, n_k=288, ws=ws, dtype=dtype)
+    _cores(monkeypatch, 1)
+    want = kernels.conv_backward(x, w, g)
+    for n in WORKERS:
+        _cores(monkeypatch, n)
+        for part, ref in zip(kernels.conv_backward(x, w, g), want):
+            assert part.tobytes() == ref.tobytes()
+    assert chunk_counts == [1, 1, 2, 2, 3, 3]
+
+
 def test_one_usable_core_runs_inline(monkeypatch, chunk_counts):
     x, w, b, _ = _case(ws=5, dtype=np.float32, **SPLIT)
     _cores(monkeypatch, 1)

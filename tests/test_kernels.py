@@ -176,7 +176,7 @@ def gemm_major(w):
 
 # Each window with text lengths 1, 2, its pad, its width and 40: texts shorter than the
 # window clip taps at both edges.
-WINDOW_LENGTHS = [(ws, k) for ws in (1, 5, 7) for k in sorted({1, 2, (ws - 1) // 2, ws, 40} - {0})]
+WINDOW_LENGTHS = [(ws, k) for ws in (1, 3, 5, 7) for k in sorted({1, 2, (ws - 1) // 2, ws, 40} - {0})]
 GRID = pytest.mark.parametrize("ws,k,batch,d", [
     (ws, k, batch, d) for ws, k in WINDOW_LENGTHS for batch in (1, 3, 64) for d in (4, 64, 288)
 ])
@@ -220,3 +220,24 @@ def test_backward_matches_the_tensordot_formulation_bit_for_bit(ws, k, batch, d,
         for got, ref in zip((gx, gw, gb), want):
             assert got.dtype == dtype and np.array_equal(got, ref)
         assert gw.transpose(1, 2, 0).flags.c_contiguous  # GEMM-major, as ConvBlock keeps kernels
+
+
+@pytest.mark.parametrize("input_grad", [True, False])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_a_batch_of_zero_position_texts(dtype, input_grad):
+    """The backward mirrors the forward's (B, 0, n_k): an empty gx, +0.0 in gw and gb."""
+    gen = np.random.default_rng(3)
+    w = gemm_major(gen.normal(size=(2, 5, 4)).astype(dtype))
+    b = gen.normal(size=2).astype(dtype)
+    x, g = np.zeros((3, 0, 4), dtype), np.zeros((3, 0, 2), dtype)
+    out = kernels.conv_forward(x, w, b)
+    assert out.shape == (3, 0, 2) and out.dtype == dtype
+    gx, gw, gb = kernels.conv_backward(x, w, g, input_grad)
+    if input_grad:
+        assert gx.shape == (3, 0, 4) and gx.dtype == dtype
+    else:
+        assert gx is None
+    assert gw.shape == (2, 5, 4) and gb.shape == (2,)
+    for grad in (gw, gb):
+        assert grad.dtype == dtype and not grad.any() and not np.signbit(grad).any()
+    assert gw.transpose(1, 2, 0).flags.c_contiguous

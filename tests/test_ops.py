@@ -137,3 +137,48 @@ class TestConvGradients:
         assert finite_diff_check(f_inp, inp, gi) < 1e-6
         assert finite_diff_check(f_kern, kern, gk) < 1e-6
         assert finite_diff_check(f_bias, bias, gb) < 1e-6
+
+    @pytest.mark.parametrize("ws", [3, 5, 7])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_texts_shorter_than_the_window(self, k, ws):
+        """Taps that reach no row of the text get a +0.0 kernel gradient, in GEMM-major layout."""
+        gen = np.random.default_rng([k, ws])
+        inp = gen.normal(size=(k, 3))
+        kern = gen.normal(size=(4, ws, 3))
+        bias = gen.normal(size=4)
+        g = gen.normal(size=(k, 4))
+        gi, gk, gb = conv1d_same_backward(inp, kern, bias, g)
+
+        def f_inp(z):
+            return float(np.sum(conv1d_same(z, kern, bias) * g))
+
+        def f_kern(z):
+            return float(np.sum(conv1d_same(inp, z, bias) * g))
+
+        def f_bias(z):
+            return float(np.sum(conv1d_same(inp, kern, z) * g))
+
+        # relative error: an entry near zero carries the difference quotient's rounding
+        assert finite_diff_check(f_inp, inp, gi) < 1e-5
+        assert finite_diff_check(f_kern, kern, gk) < 1e-5
+        assert finite_diff_check(f_bias, bias, gb) < 1e-5
+        reach = np.abs(np.arange(ws) - (ws - 1) // 2) < k
+        assert reach.sum() == min(ws, 2 * k - 1)
+        dropped = gk[:, ~reach]
+        assert not dropped.any() and not np.signbit(dropped).any()
+        assert gk[:, reach].all()
+        assert gk.transpose(1, 2, 0).flags.c_contiguous
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_an_empty_text(self, dtype):
+        """No position: an empty output and input gradient, zero kernel and bias gradients."""
+        gen = np.random.default_rng(5)
+        kern, bias = gen.normal(size=(2, 5, 3)).astype(dtype), gen.normal(size=2).astype(dtype)
+        inp, g = np.zeros((0, 3), dtype), np.zeros((0, 2), dtype)
+        out = conv1d_same(inp, kern, bias)
+        assert out.shape == (0, 2) and out.dtype == dtype
+        gi, gk, gb = conv1d_same_backward(inp, kern, bias, g)
+        assert gi.shape == (0, 3) and gk.shape == kern.shape and gb.shape == (2,)
+        for grad in (gi, gk, gb):
+            assert grad.dtype == dtype
+            assert not grad.any() and not np.signbit(grad).any()
