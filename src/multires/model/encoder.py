@@ -11,6 +11,7 @@ construction: there is a single parameter object.
 from __future__ import annotations
 
 import itertools
+import threading
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
@@ -390,8 +391,8 @@ def as_token_texts(texts, kind: str, dtype=None) -> TokenTexts:
     return texts
 
 
-# Most first-layer GEMM cells (rows x K) that one batched forward of
-# encode_texts reads; bounds that forward's temporary arrays.
+# Most first-layer GEMM cells (rows x K) that encode_texts' batched forwards
+# read at once; bounds their temporary arrays.
 ENCODE_CELLS = 1 << 21
 
 
@@ -420,15 +421,11 @@ def _text_cells(texts, params, k: int) -> int:
     return k * (texts.table if isinstance(texts, TokenTexts) else texts[0]).shape[1]
 
 
-def _forward_by_length(texts, params, max_cells: int | None = None):
-    """Yield (input positions, outputs, cache) per part of a group of equal-length texts.
+def _parts(texts, params, max_cells: int | None = None) -> list[tuple[int, list[int]]]:
+    """(k, input positions) of each part of each group of equal-length texts, in run order.
 
     ``texts`` are TokenTexts or a sequence of (k_i, d'') matrices. Groups
-    run shortest texts first, each part through one batched forward of the
-    block ``_gather`` builds; with ``params`` None, through one
-    ``mean_over_positions`` and one ``l2_normalize`` (the mean-embedding
-    baseline, no cache), whose rows equal ``mean_embedding_encode`` of each
-    text alone bit for bit. With
+    run shortest texts first, in input order within a group. With
     ``max_cells``, a group whose first-layer GEMM would read more than
     ``max_cells`` cells (rows x K, ``params.text_cells``) runs in near-equal
     parts of whole texts. If f texts fit the budget (f >= 1, so a text too
@@ -438,31 +435,40 @@ def _forward_by_length(texts, params, max_cells: int | None = None):
     (max_cells - one text's cells) / 2 cells: enough rows that the BLAS
     computes each row of the product as it does inside the whole group,
     and the parts' outputs equal one forward of the group bit for bit
-    (checked on the BLAS in use by ``tests/test_encode_parts.py``). A text
-    that encodes to a zero-norm vector raises ``DegenerateVectorError`` at
-    its input position, named by ``TokenTexts.name`` or as "text i".
+    (checked on the BLAS in use by ``tests/test_encode_parts.py``).
     """
     by_len: dict[int, list[int]] = {}
     for i, rows in enumerate(texts.ids if isinstance(texts, TokenTexts) else texts):
         by_len.setdefault(len(rows), []).append(i)
+    parts = []
     for k in sorted(by_len):
         idxs = by_len[k]
-        parts = 1
+        n = 1
         if max_cells is not None:
-            parts = -(-len(idxs) // max(1, max_cells // _text_cells(texts, params, k)))
-        for p in range(parts):
-            part = idxs[p * len(idxs) // parts : (p + 1) * len(idxs) // parts]
-            try:
-                xs = _gather(texts, part, k)
-                if params is None:
-                    out, cache = l2_normalize(mean_over_positions(xs)), None
-                else:
-                    out, cache = forward_many(xs, params)
-            except DegenerateVectorError as exc:
-                pos = part[exc.position]
-                name = texts.name(pos) if isinstance(texts, TokenTexts) else f"text {pos}"
-                raise exc.at(pos, name) from None
-            yield part, out, cache
+            n = -(-len(idxs) // max(1, max_cells // _text_cells(texts, params, k)))
+        parts += [(k, idxs[p * len(idxs) // n : (p + 1) * len(idxs) // n]) for p in range(n)]
+    return parts
+
+
+def _forward_part(texts, params, k: int, part: list[int]) -> tuple[np.ndarray, dict | None]:
+    """Outputs and cache of one batched forward of the texts at ``part``, all of length k.
+
+    The forward runs on the block ``_gather`` builds; with ``params`` None,
+    through one ``mean_over_positions`` and one ``l2_normalize`` (the
+    mean-embedding baseline, no cache), whose rows equal
+    ``mean_embedding_encode`` of each text alone bit for bit. A text that
+    encodes to a zero-norm vector raises ``DegenerateVectorError`` at its
+    input position, named by ``TokenTexts.name`` or as "text i".
+    """
+    try:
+        xs = _gather(texts, part, k)
+        if params is None:
+            return l2_normalize(mean_over_positions(xs)), None
+        return forward_many(xs, params)
+    except DegenerateVectorError as exc:
+        pos = part[exc.position]
+        name = texts.name(pos) if isinstance(texts, TokenTexts) else f"text {pos}"
+        raise exc.at(pos, name) from None
 
 
 def grouped_forward(texts, params) -> tuple[np.ndarray, list[tuple[list[int], dict]]]:
@@ -476,7 +482,8 @@ def grouped_forward(texts, params) -> tuple[np.ndarray, list[tuple[list[int], di
     """
     outputs = np.zeros((0, params.dim), dtype=np.float32)
     groups = []
-    for idxs, out, cache in _forward_by_length(texts, params):
+    for k, idxs in _parts(texts, params):
+        out, cache = _forward_part(texts, params, k, idxs)
         if not groups:
             outputs = np.empty((len(texts), params.dim), dtype=out.dtype)
         outputs[idxs] = out
@@ -498,24 +505,70 @@ def grouped_backward(
     return total
 
 
+def _part_cells(workers: int) -> int:
+    """First-layer GEMM cells a part of encode_texts may read at ``workers`` workers."""
+    return ENCODE_CELLS if workers == 1 else ENCODE_CELLS // (2 * workers)
+
+
 def encode_texts(texts, params) -> np.ndarray:
     """Encode texts of possibly different lengths; rows follow input order.
 
     ``texts`` are TokenTexts or a sequence of (k_i, d'') matrices;
     ``params`` are ConvRRParams/FCRRParams, or None for the mean-embedding
     baseline. The outputs equal ``grouped_forward``'s bit for bit, but each
-    length group runs in parts of at most ``ENCODE_CELLS`` first-layer GEMM
-    cells (input cells for the baseline; a text larger than that runs
-    alone), and each part's cache is dropped as soon as the part is done.
-    So the memory beyond the inputs and the outputs is one part's, whatever
-    the number of texts. A text that encodes to a zero-norm vector raises
-    ``DegenerateVectorError`` naming it (see ``_forward_by_length``).
+    length group runs in parts (``_parts``), and each part's cache is
+    dropped as soon as the part is done.
+
+    With ``kernels.split_workers()`` above 1 and two or more parts, the
+    parts run concurrently, one whole forward per worker: this thread and
+    up to ``split_workers() - 1`` of the kernels' pool threads each take
+    the next part in run order and write its rows into the outputs, and
+    the GEMMs inside a part run inline (splits do not nest). A part then
+    holds at most ``ENCODE_CELLS // (2 * workers)`` first-layer GEMM cells,
+    so the parts in flight read at most ``ENCODE_CELLS`` / 2 together;
+    otherwise, one part after another, a part holds at most
+    ``ENCODE_CELLS``. (Input cells for the baseline; a text larger than
+    that runs alone.) So the memory beyond the inputs and the outputs is
+    bounded whatever the number of texts. Since each part's rows equal one
+    forward of its group, the bytes do not depend on the number of workers.
+
+    A text that encodes to a zero-norm vector raises ``DegenerateVectorError``
+    naming it (see ``_forward_part``). When several parts fail, the error of
+    the first in run order is raised, as a serial run would.
     """
+    workers = kernels.split_workers()
+    parts = _parts(texts, params, _part_cells(workers))
+    pending = iter(enumerate(parts))
+    failures: dict[int, BaseException] = {}
     outputs = None
-    for idxs, out, _ in _forward_by_length(texts, params, ENCODE_CELLS):
-        if outputs is None:
-            outputs = np.empty((len(texts), out.shape[1]), dtype=out.dtype)
-        outputs[idxs] = out
+    lock = threading.Lock()
+
+    def worker() -> None:
+        nonlocal outputs
+        while True:
+            with lock:  # no new part once one has failed
+                item = None if failures else next(pending, None)
+            if item is None:
+                return
+            i, (k, part) = item
+            try:
+                out, _ = _forward_part(texts, params, k, part)
+            except BaseException as exc:  # re-raised below, once every worker is done
+                with lock:
+                    failures[i] = exc
+                return
+            with lock:
+                if outputs is None:
+                    outputs = np.empty((len(texts), out.shape[1]), dtype=out.dtype)
+            outputs[part] = out
+
+    if workers > 1 and len(parts) > 1:
+        kernels.run_concurrently(worker, min(workers, len(parts)))
+    else:
+        worker()
+    if failures:
+        # Parts are taken in run order, so every part before a failed one ran.
+        raise failures[min(failures)]
     if outputs is None:
         return np.zeros((0, params.dim if params is not None else 0), dtype=np.float32)
     return outputs

@@ -46,6 +46,12 @@ thread's: on the 2-core VM where the split was measured, the operating
 system's scheduler otherwise left it on the caller's core, and a split
 product took as long as the whole one.
 
+``run_concurrently`` runs whole tasks the same way, one per worker, each
+as a chunk of one split: ``encode_texts`` runs its parts' forwards on it.
+A split never nests: while a thread runs a chunk (a thread-local flag
+that ``_run`` sets and resets in a ``finally``), every gemm it asks for
+runs inline, as one chunk.
+
 The kernels operand is C-order whatever the kernels' memory layout, so
 results never depend on that layout. The model keeps its kernels in
 GEMM-major order: (ws, d_in, n_k) in memory behind the logical
@@ -90,6 +96,7 @@ CHUNK_ROWS = 32
 
 _pool: ThreadPoolExecutor | None = None
 _pool_lock = threading.Lock()
+_split = threading.local()  # .inside: this thread runs a chunk of a split
 
 _current_core = None  # the core the calling thread runs on, or -1
 if hasattr(os, "sched_setaffinity"):
@@ -162,7 +169,7 @@ if hasattr(os, "register_at_fork"):
 def _chunks(units: int, rows: int, macs: int) -> list[tuple[int, int]]:
     """Near-equal [lo, hi) ranges of ``units`` for a gemm of ``rows`` rows and ``macs`` work."""
     n = min(units, macs // CHUNK_MACS, rows // CHUNK_ROWS)
-    n = min(n, split_workers()) if n > 1 else 1
+    n = min(n, split_workers()) if n > 1 and not getattr(_split, "inside", False) else 1
     return [(i * units // n, (i + 1) * units // n) for i in range(n)]
 
 
@@ -178,7 +185,8 @@ def _run(chunk: Callable[[int, int], None], bounds: list[tuple[int, int]]) -> No
     """Run ``chunk(lo, hi)`` for every range, the first on this thread, the others on the pool.
 
     Returns once every chunk has finished; then re-raises the error of the
-    first chunk, in range order, that failed.
+    first chunk, in range order, that failed. A split never nests: a gemm
+    inside a chunk of a split runs inline, as one chunk (``_chunks``).
     """
     if len(bounds) == 1:
         chunk(*bounds[0])
@@ -190,7 +198,7 @@ def _run(chunk: Callable[[int, int], None], bounds: list[tuple[int, int]]) -> No
         for i, (lo, hi) in enumerate(bounds[1:])
     ]
     try:
-        chunk(*bounds[0])
+        _in_split(chunk, *bounds[0])
         errors = [None]
     except BaseException as exc:
         errors = [exc]
@@ -200,6 +208,27 @@ def _run(chunk: Callable[[int, int], None], bounds: list[tuple[int, int]]) -> No
         raise error
 
 
+def _in_split(chunk: Callable[[int, int], None], lo: int, hi: int) -> None:
+    """Run one chunk of a split with this thread marked as inside it."""
+    outer = getattr(_split, "inside", False)
+    _split.inside = True
+    try:
+        chunk(lo, hi)
+    finally:
+        _split.inside = outer
+
+
+def run_concurrently(task: Callable[[], None], workers: int) -> None:
+    """Run ``task()`` on this thread and on ``workers - 1`` pool threads at once.
+
+    Each run is a chunk of one split (``_run``): a pool thread binds itself
+    to a core off this thread's while it runs, every gemm inside runs
+    inline, and the call returns once every run has finished, re-raising
+    the first error in run order.
+    """
+    _run(lambda lo, hi: task(), [(i, i + 1) for i in range(workers)])
+
+
 def _on_core(core: int | None, chunk: Callable[[int, int], None], lo: int, hi: int) -> None:
     """Run the chunk with this pool thread bound to ``core``, off the calling thread's.
 
@@ -207,7 +236,7 @@ def _on_core(core: int | None, chunk: Callable[[int, int], None], lo: int, hi: i
     binding lasts one chunk and never outlives the core choice it came from.
     """
     if core is None:
-        chunk(lo, hi)
+        _in_split(chunk, lo, hi)
         return
     saved = os.sched_getaffinity(0)
     try:
@@ -215,7 +244,7 @@ def _on_core(core: int | None, chunk: Callable[[int, int], None], lo: int, hi: i
     except OSError:  # the core left the process's set: run where the scheduler puts it
         pass
     try:
-        chunk(lo, hi)
+        _in_split(chunk, lo, hi)
     finally:
         try:
             os.sched_setaffinity(0, saved)

@@ -1,4 +1,7 @@
-"""encode_texts runs each length group in parts of at most ENCODE_CELLS GEMM cells.
+"""encode_texts runs each length group in parts within a GEMM-cell budget.
+
+The budget is ENCODE_CELLS one part at a time, and a share of it per
+worker when parts run concurrently (``encoder._part_cells``).
 
 The parts' rows must equal one batched forward of the whole group bit for
 bit. That rests on the BLAS computing a row of a product the same way
@@ -7,6 +10,7 @@ property of the BLAS build, so these tests check it at the real budget.
 """
 
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -22,6 +26,7 @@ from multires.model.encoder import (
     init_convrr_params,
     init_fcrr_params,
 )
+from multires.numerics import kernels
 
 
 def _params(kind, dim, dtype, seed=0):
@@ -31,8 +36,9 @@ def _params(kind, dim, dtype, seed=0):
     return init_fcrr_params(dim, rng=rng, dtype=dtype)
 
 
-# (kind, k, d'', texts of length k): each group splits into 2-3 parts of
-# unequal sizes. fcrr's GEMM reads one mean row per text, so a split group
+# (kind, k, d'', texts of length k): one part at a time, each group splits into
+# 2-3 parts of unequal sizes; on two workers, into more. fcrr's GEMM reads one
+# mean row per text, so a split group
 # holds more than ENCODE_CELLS * k input cells; k=40 would need 336 MB.
 SPLIT_SHAPES = [
     ("convrr", 1, 64, 10487),
@@ -54,25 +60,29 @@ def test_parts_equal_one_forward_of_the_group(kind, k, dim, n, dtype, monkeypatc
     texts = [texts[i] for i in order]
 
     sizes = []
+    lock = threading.Lock()
     forward_many = encoder.forward_many
 
     def recording(xs, p):
-        sizes.append(xs.shape[0])
+        with lock:  # parts may run on several threads at once
+            sizes.append(xs.shape[0])
         return forward_many(xs, p)
 
     monkeypatch.setattr(encoder, "forward_many", recording)
     got = encode_texts(texts, params)
-    parts, last = sizes[:-1], sizes[-1]
+    parts = sorted(sizes)  # in whatever order the workers ran them
     sizes.clear()
     expected, _ = grouped_forward(texts, params)  # one forward per group
 
-    assert sizes == [n, 7] and last == 7
+    assert sizes == [n, 7]
     assert got.tobytes() == expected.tobytes()
-    assert sum(parts) == n and len(parts) >= 2 and len(set(parts)) == 2
-    fit = ENCODE_CELLS // params.text_cells(k)
+    parts.remove(7)  # the group that fits
+    assert sum(parts) == n and len(parts) >= 2 and parts[-1] - parts[0] <= 1
+    budget = encoder._part_cells(kernels.split_workers())
+    fit = budget // params.text_cells(k)
     for texts_in_part in parts:
         assert math.ceil(fit / 2) <= texts_in_part <= fit
-        assert ENCODE_CELLS / 2 <= texts_in_part * params.text_cells(k) <= ENCODE_CELLS
+        assert budget / 2 <= texts_in_part * params.text_cells(k) <= budget
 
 
 @settings(max_examples=100, deadline=None)
@@ -84,7 +94,7 @@ def test_split_rule(lengths, max_cells):
     """Near-equal parts of whole texts, each within the budget, at least half full."""
     params = _params("convrr", 2, np.float64)
     texts = [np.ones((k, 2)) for k in lengths]
-    parts = [idxs for idxs, _, _ in encoder._forward_by_length(texts, params, max_cells)]
+    parts = [idxs for _, idxs in encoder._parts(texts, params, max_cells)]
     assert sorted(i for part in parts for i in part) == list(range(len(texts)))
     for k in sorted(set(lengths)):
         group = [i for i, length in enumerate(lengths) if length == k]

@@ -20,10 +20,13 @@ import numpy as np
 import pytest
 
 from multires.corpus import QaPair
+from multires.errors import DegenerateVectorError
+from multires.model import encoder
 from multires.model.checkpoint import serialize_params
-from multires.model.encoder import TokenTexts, encode_texts, init_convrr_params
+from multires.model.encoder import TokenTexts, encode_texts, init_convrr_params, init_fcrr_params
 from multires.model.train import TrainConfig, train
 from multires.numerics import kernels
+from test_encode_parts import _check_encode_memory
 
 
 @pytest.fixture
@@ -333,3 +336,155 @@ def test_a_pool_thread_runs_its_chunk_off_the_calling_threads_core(monkeypatch):
     assert worker != caller and len(worker_set) == 1 and worker_set < caller_set
     # the binding ends with the chunk: an idle pool thread may run on any usable core
     assert os.sched_getaffinity(worker) == caller_set
+
+
+# --- encode_texts: parts run concurrently, one whole forward per worker ---
+
+
+def _encoder_params(kind, dim, dtype):
+    rng = np.random.default_rng(9)
+    if kind == "convrr":
+        return init_convrr_params(dim, rng=rng, dtype=dtype)
+    return init_fcrr_params(dim, rng=rng, dtype=dtype)
+
+
+def _texts(lengths, per_length, dim, dtype, as_tokens, seed=11):
+    gen = np.random.default_rng(seed)
+    table = gen.normal(size=(2000, dim)).astype(dtype)
+    ids = [gen.integers(0, len(table), size=k) for k in gen.permutation(np.repeat(lengths, per_length))]
+    if as_tokens:
+        return TokenTexts(table, ids, [f"t{i}" for i in range(len(ids))])
+    return [table[i] for i in ids]
+
+
+# (kind, text lengths, texts per length) at d''=64: at 2 and 3 workers every length
+# group runs in two or more parts; convrr's longer group splits at one worker too.
+ENCODE_CASES = [("convrr", (12, 40), 300), ("fcrr", (1, 3), 9000)]
+
+
+@pytest.mark.parametrize("as_tokens", [True, False])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("kind, lengths, per_length", ENCODE_CASES)
+def test_encode_texts_bytes_do_not_depend_on_the_worker_count(
+    kind, lengths, per_length, dtype, as_tokens, monkeypatch, chunk_counts
+):
+    texts = _texts(lengths, per_length, 64, dtype, as_tokens)
+    params = _encoder_params(kind, 64, dtype)
+    runs = []
+    for n in (1, 2, 3):
+        _cores(monkeypatch, n)
+        if n > 1:
+            parts = encoder._parts(texts, params, encoder._part_cells(n))
+            assert all(sum(k == length for k, _ in parts) >= 2 for length in lengths)
+        chunk_counts.clear()
+        runs.append(encode_texts(texts, params).tobytes())
+        if n > 1:
+            assert chunk_counts[0] == n  # the parts' workers
+        assert set(chunk_counts[n > 1:]) <= {1}  # every GEMM inside a part as one chunk
+    assert runs[0] == runs[1] == runs[2]
+
+
+def test_the_gemms_inside_a_part_run_as_one_chunk(monkeypatch, chunk_counts):
+    # 60 texts of 40 positions at d''=288: one worker runs two parts of 1200 rows, whose
+    # GEMMs split in two; two workers run parts of 8 or 9 texts, 133 M or 149 M
+    # multiply-adds per GEMM, above two chunks' work, and must not split them.
+    texts = _texts((40,), 60, 288, np.float32, True)
+    params = _encoder_params("convrr", 288, np.float32)
+    assert 8 * 40 * 5 * 288 * 288 >= 2 * kernels.CHUNK_MACS
+    _cores(monkeypatch, 1)
+    want = encode_texts(texts, params)
+    assert chunk_counts == [1, 1, 1, 1]
+    _cores(monkeypatch, 2)
+    chunk_counts.clear()
+    assert encode_texts(texts, params).tobytes() == want.tobytes()
+    assert chunk_counts == [2] + [1] * 14  # 7 parts of two conv blocks each
+
+
+def test_a_one_text_call_starts_no_pool(monkeypatch, chunk_counts):
+    texts = _texts((40,), 1, 288, np.float32, True)
+    params = _encoder_params("convrr", 288, np.float32)
+    _cores(monkeypatch, 2)
+    monkeypatch.setattr(kernels, "_pool", None)
+    threads = threading.active_count()
+    encode_texts(texts, params)
+    assert chunk_counts == [1, 1] and kernels._pool is None and threading.active_count() == threads
+
+
+@pytest.mark.parametrize("as_tokens", [True, False])
+def test_a_zero_norm_text_in_a_late_part_is_named_as_by_one_worker(as_tokens, monkeypatch):
+    texts = _texts((12, 40), 300, 64, np.float32, as_tokens)
+    params = _encoder_params("convrr", 64, np.float32)  # zero biases: a zero text encodes to 0
+    _cores(monkeypatch, 2)
+    parts = encoder._parts(texts, params, encoder._part_cells(2))
+    # zero texts in the last three parts: the first of them must be named, whichever
+    # worker fails first
+    zero = [part[len(part) // 2] for _, part in parts[-3:]]
+    table = texts.table if as_tokens else None
+    if as_tokens:
+        table = np.vstack([table, np.zeros((1, 64), np.float32)])
+        ids = list(texts.ids)
+        for i in zero:
+            ids[i] = np.full(len(ids[i]), len(table) - 1)
+        texts = TokenTexts(table, ids, texts.names)
+    else:
+        texts = list(texts)
+        for i in zero:
+            texts[i] = np.zeros_like(texts[i])
+    messages = []
+    for n in (1, 2, 3):
+        _cores(monkeypatch, n)
+        with pytest.raises(DegenerateVectorError) as info:
+            encode_texts(texts, params)
+        messages.append((str(info.value), info.value.position))
+    name = f"text 't{zero[0]}'" if as_tokens else f"text {zero[0]}"
+    assert messages[0][0].startswith(name) and messages[0][1] == zero[0]
+    assert messages == [messages[0]] * 3
+
+
+@pytest.mark.parametrize("n", [250, 2000])
+def test_encode_memory_is_bounded_at_two_workers(n, monkeypatch):
+    """As ``test_encode_memory_is_bounded``, with the parts running on two workers."""
+    params = init_convrr_params(64, rng=np.random.default_rng(0))
+    texts = list(np.random.default_rng(n).normal(size=(n, 40, 64)).astype(np.float32))
+    _cores(monkeypatch, 2)
+    _check_encode_memory(texts, params)
+
+
+@pytest.mark.parametrize("n", [250, 2000])
+def test_encode_memory_is_bounded_for_token_texts_at_two_workers(n, monkeypatch):
+    params = init_convrr_params(64, rng=np.random.default_rng(0))
+    table = np.random.default_rng(n).normal(size=(n * 40, 64)).astype(np.float32)
+    rows = np.arange(len(table))
+    _cores(monkeypatch, 2)
+    _check_encode_memory(TokenTexts(table, [rows[i * 40:(i + 1) * 40] for i in range(n)]), params)
+
+
+def test_a_failed_part_leaves_later_gemms_free_to_split(monkeypatch):
+    _cores(monkeypatch, 2)
+    inside = []
+
+    def task():
+        inside.append(len(kernels._chunks(6, 6 * kernels.CHUNK_ROWS, 6 * kernels.CHUNK_MACS)))
+        raise ValueError("part failed")
+
+    with pytest.raises(ValueError, match="part failed"):
+        kernels.run_concurrently(task, 2)
+    assert inside == [1, 1]  # no split inside a split
+    assert len(kernels._chunks(6, 6 * kernels.CHUNK_ROWS, 6 * kernels.CHUNK_MACS)) == 2  # the flag was reset
+
+
+def test_more_workers_than_cores_keep_the_bytes(monkeypatch):
+    """Many small parts on four workers with rapid thread switches: no part is lost or run twice."""
+    texts = _texts((12, 40), 300, 64, np.float32, True)
+    params = _encoder_params("convrr", 64, np.float32)
+    _cores(monkeypatch, 1)
+    want = encode_texts(texts, params).tobytes()
+    _cores(monkeypatch, 4)
+    assert len(encoder._parts(texts, params, encoder._part_cells(4))) >= 20
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        results = [encode_texts(texts, params).tobytes() == want for _ in range(5)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [True] * 5
