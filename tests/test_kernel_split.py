@@ -419,9 +419,8 @@ def test_a_zero_norm_text_in_a_late_part_is_named_as_by_one_worker(as_tokens, mo
     # zero texts in the last three parts: the first of them must be named, whichever
     # worker fails first
     zero = [part[len(part) // 2] for _, part in parts[-3:]]
-    table = texts.table if as_tokens else None
     if as_tokens:
-        table = np.vstack([table, np.zeros((1, 64), np.float32)])
+        table = np.vstack([texts.table, np.zeros((1, 64), np.float32)])
         ids = list(texts.ids)
         for i in zero:
             ids[i] = np.full(len(ids[i]), len(table) - 1)
