@@ -505,9 +505,33 @@ def grouped_backward(
     return total
 
 
+# Most parts encode_texts runs at once. Each concurrent part reads at most
+# ENCODE_CELLS // CONCURRENT_PARTS first-layer cells, the size measured on two
+# workers: smaller parts cost more per text.
+CONCURRENT_PARTS = 4
+
+
 def _part_cells(workers: int) -> int:
     """First-layer GEMM cells a part of encode_texts may read at ``workers`` workers."""
-    return ENCODE_CELLS if workers == 1 else ENCODE_CELLS // (2 * workers)
+    return ENCODE_CELLS if workers == 1 else ENCODE_CELLS // CONCURRENT_PARTS
+
+
+def _outputs(texts, params, parts) -> np.ndarray:
+    """Uninitialized outputs of encode_texts: one row per text, in the first part's dtype.
+
+    That dtype is the one the first part's forward gives: its inputs' dtype
+    as a mean over positions, promoted with the encoder's tensors.
+    """
+    k, first = parts[0]
+    if isinstance(texts, TokenTexts):
+        dtypes, width = {texts.table.dtype}, texts.table.shape[1]
+    else:
+        rows = [np.asarray(texts[i]) for i in first]
+        dtypes, width = {r.dtype for r in rows}, rows[0].shape[-1]
+    dtype = np.empty((1, 0), np.result_type(*dtypes)).mean(axis=0).dtype
+    if params is None:
+        return np.empty((len(texts), width), dtype)
+    return np.empty((len(texts), params.dim), np.result_type(dtype, *params.tensors()))
 
 
 def encode_texts(texts, params) -> np.ndarray:
@@ -521,16 +545,17 @@ def encode_texts(texts, params) -> np.ndarray:
 
     With ``kernels.split_workers()`` above 1 and two or more parts, the
     parts run concurrently, one whole forward per worker: this thread and
-    up to ``split_workers() - 1`` of the kernels' pool threads each take
-    the next part in run order and write its rows into the outputs, and
-    the GEMMs inside a part run inline (splits do not nest). A part then
-    holds at most ``ENCODE_CELLS // (2 * workers)`` first-layer GEMM cells,
-    so the parts in flight read at most ``ENCODE_CELLS`` / 2 together;
-    otherwise, one part after another, a part holds at most
-    ``ENCODE_CELLS``. (Input cells for the baseline; a text larger than
-    that runs alone.) So the memory beyond the inputs and the outputs is
-    bounded whatever the number of texts. Since each part's rows equal one
-    forward of its group, the bytes do not depend on the number of workers.
+    up to ``CONCURRENT_PARTS - 1`` of the kernels' pool threads (one fewer
+    than ``split_workers()`` at most) each take the next part in run order
+    and write its rows into the outputs, and the GEMMs inside a part run
+    inline (splits do not nest). A part then holds at most
+    ``ENCODE_CELLS // CONCURRENT_PARTS`` first-layer GEMM cells, so the
+    parts in flight read at most ``ENCODE_CELLS`` together; otherwise, one
+    part after another, a part holds at most ``ENCODE_CELLS``. (Input cells
+    for the baseline; a text larger than that runs alone.) So the memory
+    beyond the inputs and the outputs is bounded whatever the number of
+    texts. Since each part's rows equal one forward of its group, the bytes
+    do not depend on the number of workers.
 
     A text that encodes to a zero-norm vector raises ``DegenerateVectorError``
     naming it (see ``_forward_part``). When several parts fail, the error of
@@ -538,13 +563,16 @@ def encode_texts(texts, params) -> np.ndarray:
     """
     workers = kernels.split_workers()
     parts = _parts(texts, params, _part_cells(workers))
+    if not parts:
+        return np.zeros((0, params.dim if params is not None else 0), dtype=np.float32)
+    if len(parts) == 1:  # one group in one part: its rows are in input order
+        return _forward_part(texts, params, *parts[0])[0]
+    outputs = _outputs(texts, params, parts)
     pending = iter(enumerate(parts))
     failures: dict[int, BaseException] = {}
-    outputs = None
     lock = threading.Lock()
 
     def worker() -> None:
-        nonlocal outputs
         while True:
             with lock:  # no new part once one has failed
                 item = None if failures else next(pending, None)
@@ -553,24 +581,19 @@ def encode_texts(texts, params) -> np.ndarray:
             i, (k, part) = item
             try:
                 out, _ = _forward_part(texts, params, k, part)
+                outputs[part] = out
             except BaseException as exc:  # re-raised below, once every worker is done
                 with lock:
                     failures[i] = exc
                 return
-            with lock:
-                if outputs is None:
-                    outputs = np.empty((len(texts), out.shape[1]), dtype=out.dtype)
-            outputs[part] = out
 
-    if workers > 1 and len(parts) > 1:
-        kernels.run_concurrently(worker, min(workers, len(parts)))
+    if workers > 1:
+        kernels.run_concurrently(worker, min(workers, CONCURRENT_PARTS, len(parts)))
     else:
         worker()
     if failures:
         # Parts are taken in run order, so every part before a failed one ran.
         raise failures[min(failures)]
-    if outputs is None:
-        return np.zeros((0, params.dim if params is not None else 0), dtype=np.float32)
     return outputs
 
 

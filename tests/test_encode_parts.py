@@ -1,7 +1,7 @@
 """encode_texts runs each length group in parts within a GEMM-cell budget.
 
-The budget is ENCODE_CELLS one part at a time, and a share of it per
-worker when parts run concurrently (``encoder._part_cells``).
+The budget is ENCODE_CELLS one part at a time, and ENCODE_CELLS // 4 when
+parts run concurrently (``encoder._part_cells``).
 
 The parts' rows must equal one batched forward of the whole group bit for
 bit. That rests on the BLAS computing a row of a product the same way
@@ -25,6 +25,7 @@ from multires.model.encoder import (
     grouped_forward,
     init_convrr_params,
     init_fcrr_params,
+    mean_embedding_encode,
 )
 from multires.numerics import kernels
 
@@ -36,9 +37,8 @@ def _params(kind, dim, dtype, seed=0):
     return init_fcrr_params(dim, rng=rng, dtype=dtype)
 
 
-# (kind, k, d'', texts of length k): one part at a time, each group splits into
-# 2-3 parts of unequal sizes; on two workers, into more. fcrr's GEMM reads one
-# mean row per text, so a split group
+# (kind, k, d'', texts of length k): each group splits into 2-3 parts of
+# unequal sizes. fcrr's GEMM reads one mean row per text, so a split group
 # holds more than ENCODE_CELLS * k input cells; k=40 would need 336 MB.
 SPLIT_SHAPES = [
     ("convrr", 1, 64, 10487),
@@ -48,10 +48,15 @@ SPLIT_SHAPES = [
     ("fcrr", 2, 64, 36045),
 ]
 
+# As above at two workers, where a part reads at most ENCODE_CELLS // 4 cells:
+# the convrr groups split into 7-9 parts of unequal sizes, and fcrr's groups,
+# one text larger than above (36045 texts make five equal parts), into five.
+CONCURRENT_SPLIT_SHAPES = SPLIT_SHAPES[:3] + [("fcrr", 1, 64, 36046), ("fcrr", 2, 64, 36046)]
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("kind, k, dim, n", SPLIT_SHAPES)
-def test_parts_equal_one_forward_of_the_group(kind, k, dim, n, dtype, monkeypatch):
+
+def _check_parts(kind, k, dim, n, dtype, workers, budget, monkeypatch):
+    """encode_texts at ``workers`` workers: parts within ``budget`` that equal one forward."""
+    monkeypatch.setattr(kernels, "split_workers", lambda: workers)
     params = _params(kind, dim, dtype)
     rng = np.random.default_rng(n + k)
     texts = list(rng.normal(size=(n, k, dim)).astype(dtype))
@@ -70,19 +75,60 @@ def test_parts_equal_one_forward_of_the_group(kind, k, dim, n, dtype, monkeypatc
 
     monkeypatch.setattr(encoder, "forward_many", recording)
     got = encode_texts(texts, params)
-    parts = sorted(sizes)  # in whatever order the workers ran them
+    parts = sorted(sizes)  # a multiset: workers may finish parts in any order
     sizes.clear()
     expected, _ = grouped_forward(texts, params)  # one forward per group
 
     assert sizes == [n, 7]
     assert got.tobytes() == expected.tobytes()
     parts.remove(7)  # the group that fits
-    assert sum(parts) == n and len(parts) >= 2 and parts[-1] - parts[0] <= 1
-    budget = encoder._part_cells(kernels.split_workers())
+    assert sum(parts) == n and len(parts) >= 2 and len(set(parts)) == 2
     fit = budget // params.text_cells(k)
     for texts_in_part in parts:
         assert math.ceil(fit / 2) <= texts_in_part <= fit
         assert budget / 2 <= texts_in_part * params.text_cells(k) <= budget
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("kind, k, dim, n", SPLIT_SHAPES)
+def test_parts_equal_one_forward_of_the_group(kind, k, dim, n, dtype, monkeypatch):
+    _check_parts(kind, k, dim, n, dtype, 1, ENCODE_CELLS, monkeypatch)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("kind, k, dim, n", CONCURRENT_SPLIT_SHAPES)
+def test_concurrent_parts_equal_one_forward_of_the_group(kind, k, dim, n, dtype, monkeypatch):
+    _check_parts(kind, k, dim, n, dtype, 2, ENCODE_CELLS // 4, monkeypatch)
+
+
+# (dtype of the texts of length 2, of length 5, of the encoder's tensors)
+OUTPUT_DTYPES = [
+    (np.float32, np.float32, np.float64),
+    (np.float64, np.float64, np.float32),
+    (np.float16, np.float16, np.float32),
+    (np.int8, np.int8, np.float32),
+    (np.float32, np.float64, np.float32),  # the first part's dtype holds every row
+    (np.float64, np.float32, np.float32),
+]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("kind", ["convrr", "fcrr", None])
+@pytest.mark.parametrize("short, long, tensors", OUTPUT_DTYPES)
+def test_outputs_take_the_dtype_of_the_first_parts_forward(
+    short, long, tensors, kind, workers, monkeypatch
+):
+    monkeypatch.setattr(kernels, "split_workers", lambda: workers)
+    rng = np.random.default_rng(3)
+    texts = [rng.integers(1, 4, size=(2, 8)).astype(short) for _ in range(3)]
+    texts += [rng.integers(1, 4, size=(5, 8)).astype(long) for _ in range(3)]
+    got = encode_texts(texts, None if kind is None else _params(kind, 8, tensors))
+    if kind is None:
+        first = mean_embedding_encode(np.stack(texts[:3]))
+        expected = np.vstack([first, mean_embedding_encode(np.stack(texts[3:]))]).astype(first.dtype)
+    else:
+        expected, _ = grouped_forward(texts, _params(kind, 8, tensors))
+    assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
 
 
 @settings(max_examples=100, deadline=None)

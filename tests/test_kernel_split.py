@@ -440,21 +440,23 @@ def test_a_zero_norm_text_in_a_late_part_is_named_as_by_one_worker(as_tokens, mo
     assert messages == [messages[0]] * 3
 
 
+@pytest.mark.parametrize("workers", [2, 4])
 @pytest.mark.parametrize("n", [250, 2000])
-def test_encode_memory_is_bounded_at_two_workers(n, monkeypatch):
-    """As ``test_encode_memory_is_bounded``, with the parts running on two workers."""
+def test_encode_memory_is_bounded_at_several_workers(n, workers, monkeypatch):
+    """As ``test_encode_memory_is_bounded``, with the parts running concurrently."""
     params = init_convrr_params(64, rng=np.random.default_rng(0))
     texts = list(np.random.default_rng(n).normal(size=(n, 40, 64)).astype(np.float32))
-    _cores(monkeypatch, 2)
+    _cores(monkeypatch, workers)
     _check_encode_memory(texts, params)
 
 
+@pytest.mark.parametrize("workers", [2, 4])
 @pytest.mark.parametrize("n", [250, 2000])
-def test_encode_memory_is_bounded_for_token_texts_at_two_workers(n, monkeypatch):
+def test_encode_memory_is_bounded_for_token_texts_at_several_workers(n, workers, monkeypatch):
     params = init_convrr_params(64, rng=np.random.default_rng(0))
     table = np.random.default_rng(n).normal(size=(n * 40, 64)).astype(np.float32)
     rows = np.arange(len(table))
-    _cores(monkeypatch, 2)
+    _cores(monkeypatch, workers)
     _check_encode_memory(TokenTexts(table, [rows[i * 40:(i + 1) * 40] for i in range(n)]), params)
 
 
@@ -474,7 +476,7 @@ def test_a_failed_part_leaves_later_gemms_free_to_split(monkeypatch):
 
 def test_more_workers_than_cores_keep_the_bytes(monkeypatch):
     """Many small parts on four workers with rapid thread switches: no part is lost or run twice."""
-    texts = _texts((12, 40), 300, 64, np.float32, True)
+    texts = _texts((12, 40), 600, 64, np.float32, True)
     params = _encoder_params("convrr", 64, np.float32)
     _cores(monkeypatch, 1)
     want = encode_texts(texts, params).tobytes()
@@ -487,3 +489,17 @@ def test_more_workers_than_cores_keep_the_bytes(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert results == [True] * 5
+
+
+def test_at_most_concurrent_parts_run_at_once(monkeypatch, chunk_counts):
+    """More cores than CONCURRENT_PARTS: parts keep their size and no more run at once."""
+    texts = _texts((12, 40), 300, 64, np.float32, True)
+    params = _encoder_params("convrr", 64, np.float32)
+    _cores(monkeypatch, 1)
+    want = encode_texts(texts, params).tobytes()
+    for n in (2, 4, 6):
+        _cores(monkeypatch, n)
+        assert encoder._part_cells(n) == encoder.ENCODE_CELLS // encoder.CONCURRENT_PARTS
+        chunk_counts.clear()
+        assert encode_texts(texts, params).tobytes() == want
+        assert chunk_counts[0] == min(n, encoder.CONCURRENT_PARTS)
