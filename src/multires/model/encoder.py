@@ -335,8 +335,7 @@ class TokenTexts:
 
     ``names`` holds the texts' ids, in order, or nothing; ``kind`` says what
     the texts are. An error about text i names it by kind and id, or by
-    kind and position when the texts have no names. ``take`` selects texts
-    without copying the table.
+    kind and position when the texts have no names.
     """
 
     table: np.ndarray  # (V, d'')
@@ -353,10 +352,6 @@ class TokenTexts:
 
     def name(self, i: int) -> str:
         return f"{self.kind} {self.names[i]!r}" if self.names else f"{self.kind} {i}"
-
-    def take(self, positions: Sequence[int]) -> "TokenTexts":
-        names = [self.names[i] for i in positions] if self.names else ()
-        return TokenTexts(self.table, [self.ids[i] for i in positions], names, self.kind)
 
 
 def as_token_texts(texts, kind: str, dtype=None) -> TokenTexts:
@@ -421,6 +416,26 @@ def _text_cells(texts, params, k: int) -> int:
     return k * (texts.table if isinstance(texts, TokenTexts) else texts[0]).shape[1]
 
 
+def _lengths(texts) -> np.ndarray:
+    """Each text's number of positions, as one intp array."""
+    rows = texts.ids if isinstance(texts, TokenTexts) else texts
+    return np.fromiter(map(len, rows), np.intp, len(rows))
+
+
+def _length_groups(lengths: np.ndarray) -> list[tuple[int, np.ndarray]]:
+    """(k, positions) of each group of equal ``lengths``, shortest first.
+
+    The groups come from one stable argsort of the lengths, so each holds
+    its positions in input order, as an intp array.
+    """
+    order = np.argsort(lengths, kind="stable")
+    if not order.size:
+        return []
+    ks = lengths[order]
+    cuts = [0, *(np.flatnonzero(ks[1:] != ks[:-1]) + 1).tolist(), order.size]
+    return [(int(ks[lo]), order[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
+
+
 def _parts(texts, params, max_cells: int | None = None) -> list[tuple[int, list[int]]]:
     """(k, input positions) of each part of each group of equal-length texts, in run order.
 
@@ -437,12 +452,9 @@ def _parts(texts, params, max_cells: int | None = None) -> list[tuple[int, list[
     and the parts' outputs equal one forward of the group bit for bit
     (checked on the BLAS in use by ``tests/test_encode_parts.py``).
     """
-    by_len: dict[int, list[int]] = {}
-    for i, rows in enumerate(texts.ids if isinstance(texts, TokenTexts) else texts):
-        by_len.setdefault(len(rows), []).append(i)
     parts = []
-    for k in sorted(by_len):
-        idxs = by_len[k]
+    for k, idxs in _length_groups(_lengths(texts)):
+        idxs = idxs.tolist()
         n = 1
         if max_cells is not None:
             n = -(-len(idxs) // max(1, max_cells // _text_cells(texts, params, k)))
@@ -503,6 +515,52 @@ def grouped_backward(
         grads, _ = backward_many(params, cache, upstream[idxs], input_grad=False)
         total = [t + g for t, g in zip(total, grads)] if total else grads
     return total
+
+
+@dataclass(frozen=True)
+class PackedTexts:
+    """TokenTexts with every text's ids laid end to end, to gather many batches from.
+
+    Text i's ids are ``flat[starts[i]:starts[i] + lengths[i]]``. Packing
+    once lets ``forward`` gather any batch of the texts with one fancy
+    index per length group and no Python step per text.
+    """
+
+    texts: TokenTexts
+    flat: np.ndarray     # intp
+    starts: np.ndarray   # intp, one per text
+    lengths: np.ndarray  # intp, one per text
+
+    @classmethod
+    def of(cls, texts: TokenTexts) -> "PackedTexts":
+        lengths = _lengths(texts)
+        flat = np.concatenate([np.empty(0, np.intp), *texts.ids])
+        return cls(texts, flat, np.cumsum(lengths) - lengths, lengths)
+
+    def forward(self, positions: np.ndarray, params) -> tuple[np.ndarray, list]:
+        """``grouped_forward`` of the texts at ``positions``, bit for bit.
+
+        The groups are ``_length_groups`` of the batch's lengths, the order
+        ``_parts`` runs them in, each block the same bytes ``_gather``
+        builds, so the outputs and caches are the same; a group's
+        positions (into ``positions``) are an intp array. A zero-norm text
+        raises ``DegenerateVectorError`` at its batch position, named by
+        its id, as ``grouped_forward`` would.
+        """
+        outputs = np.zeros((0, params.dim), dtype=np.float32)
+        groups = []
+        for k, idxs in _length_groups(self.lengths[positions]):
+            ids = self.flat[self.starts[positions[idxs]][:, None] + np.arange(k)]
+            try:
+                out, cache = forward_many(self.texts.table[ids], params)
+            except DegenerateVectorError as exc:
+                pos = int(idxs[exc.position])
+                raise exc.at(pos, self.texts.name(positions[pos])) from None
+            if not groups:
+                outputs = np.empty((len(positions), params.dim), dtype=out.dtype)
+            outputs[idxs] = out
+            groups.append((idxs, cache))
+        return outputs, groups
 
 
 # Most parts encode_texts runs at once. Each concurrent part reads at most
@@ -638,6 +696,11 @@ def _check_finite_rows(name: str, norms: np.ndarray) -> None:
             raise NumericalError(f"{name} row {bad[0]} is non-finite")
 
 
+def _cells(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.nonzero`` of a 2-D mask, through the flat scan, which numpy runs faster."""
+    return np.divmod(np.flatnonzero(mask), mask.shape[1])
+
+
 def nearest(
     queries: np.ndarray,
     vectors: np.ndarray,
@@ -734,22 +797,26 @@ def nearest(
         est += v_norms
         if wide is not None:
             est[wide[lo:hi]] = 0.0  # the product may have overflowed; eps is inf
-        allowed = None
-        if exclude is not None or floor is not None:
-            allowed = np.ones(est.shape, dtype=bool)
         if exclude is not None:
-            allowed[np.arange(hi - lo), exclude[lo:hi]] = False
+            excluded = (np.arange(hi - lo), exclude[lo:hi])
+        allowed = None
         if floor is not None:
             f = np.asarray(floor[lo:hi], dtype=dtype).astype(np.float64)[:, None]
-            allowed &= ~(est + e_b < f)
-            rows, cols = np.nonzero(allowed & ~(est - e_b >= f))
+            allowed = ~(est + e_b < f)
+            if exclude is not None:
+                allowed[excluded] = False  # so the band below never recomputes it
+            rows, cols = _cells(allowed & ~(est - e_b >= f))
             exact = np.sum((vd[cols] - qb[rows]) ** 2, axis=1)
             allowed[rows, cols] = ~(exact < f[rows, 0])
             est[rows, cols] = exact
+        if exclude is not None:
+            est[excluded] = np.inf  # kk <= n - 1 leaves kk other columns to rank
         masked = est if allowed is None else np.where(allowed, est, np.inf)
         kth = masked.min(axis=1) if kk == 1 else np.partition(masked, kk - 1, axis=1)[:, kk - 1]
         cand = est <= kth[:, None] + 2 * e_b
-        rows, cols = np.nonzero(cand if allowed is None else cand & allowed)
+        if exclude is not None:
+            cand[excluded] = False  # inf <= inf where eps or the k-th estimate is inf
+        rows, cols = _cells(cand if allowed is None else cand & allowed)
         exact = np.sum((vd[cols] - qb[rows]) ** 2, axis=1)
         order = np.lexsort((cols, exact, rows))
         counts = np.bincount(rows, minlength=hi - lo)

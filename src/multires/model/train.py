@@ -72,15 +72,22 @@ def train(
     pool is exhausted), encode queries and documents with shared parameters,
     mine a hardest negative per anchor, average the triplet losses, and take
     one Adam step per parameter tensor.
+
+    Every per-pair lookup runs once, before the loop: each pair's query
+    text and positive column become intp arrays, and each kind's texts
+    are packed (``PackedTexts``). An iteration then works on index arrays
+    only: its batch documents, in first-occurrence order, and each pair's
+    positive column among them come from one ``np.unique`` and a stable
+    argsort.
     """
     if encoder_kind not in ("convrr", "fcrr"):
         raise ConfigError(f"encoder_kind must be 'convrr' or 'fcrr', got {encoder_kind!r}")
     if not pairs:
         raise DatasetError("no training pairs")
-    queries = enc.as_token_texts(query_matrices, "query", np.float32)
-    docs = enc.as_token_texts(doc_matrices, "document", np.float32)
-    query_pos = {qid: i for i, qid in enumerate(queries.names)}
-    doc_pos = {did: i for i, did in enumerate(docs.names)}
+    queries = enc.PackedTexts.of(enc.as_token_texts(query_matrices, "query", np.float32))
+    docs = enc.PackedTexts.of(enc.as_token_texts(doc_matrices, "document", np.float32))
+    query_pos = {qid: i for i, qid in enumerate(queries.texts.names)}
+    doc_pos = {did: i for i, did in enumerate(docs.texts.names)}
     if len(doc_pos) < 2:
         raise DatasetError("need at least 2 distinct documents to mine negatives")
     for pair in pairs:
@@ -94,7 +101,13 @@ def train(
         raise IntegrityError(
             f"query id {repeated[0]!r} repeats; train takes one positive document per query"
         )
-    dim = docs.table.shape[1]
+    # Per pair, its query's text and its positive's column in a full scan,
+    # which lists each distinct document id once, in first-occurrence order.
+    query_text = np.array([query_pos[p.query_id] for p in pairs], dtype=np.intp)
+    column = {did: i for i, did in enumerate(doc_pos)}
+    positive_column = np.array([column[p.positive_doc_id] for p in pairs], dtype=np.intp)
+    all_doc_texts = np.fromiter(doc_pos.values(), dtype=np.intp, count=len(doc_pos))
+    dim = docs.texts.table.shape[1]
 
     rng = np.random.default_rng(cfg.seed)
     if encoder_kind == "convrr":
@@ -110,7 +123,6 @@ def train(
     batch_size = min(cfg.batch_size, n_pairs)
     order = rng.permutation(n_pairs)
     cursor = 0
-    all_doc_ids = list(doc_pos)
     semi_hard = cfg.mining == "semi_hard"
     full_scan = cfg.mining == "full_scan"
 
@@ -119,21 +131,25 @@ def train(
         if cursor + batch_size > n_pairs:
             order = rng.permutation(n_pairs)
             cursor = 0
-        batch = [pairs[i] for i in order[cursor:cursor + batch_size]]
+        batch = order[cursor:cursor + batch_size]
         cursor += batch_size
 
-        batch_doc_ids = list(dict.fromkeys(p.positive_doc_id for p in batch))
-        if full_scan or len(batch_doc_ids) < 2:  # one document leaves no negative to mine
-            batch_doc_ids = all_doc_ids
+        columns = positive_column[batch]
+        if not full_scan:
+            distinct, first, inverse = np.unique(columns, return_index=True, return_inverse=True)
+        if full_scan or len(distinct) < 2:  # one document leaves no negative to mine
+            doc_texts, positive = all_doc_texts, columns
+        else:
+            # the batch's documents in first-occurrence order, each pair's positive among them
+            by_first = np.argsort(first, kind="stable")
+            rank = np.empty_like(by_first)
+            rank[by_first] = np.arange(len(by_first))
+            doc_texts, positive = all_doc_texts[distinct[by_first]], rank[inverse]
 
-        query_rows = [query_pos[p.query_id] for p in batch]
-        anchors, query_groups = enc.grouped_forward(queries.take(query_rows), params)
-        doc_rows = [doc_pos[d] for d in batch_doc_ids]
-        doc_outs, doc_groups = enc.grouped_forward(docs.take(doc_rows), params)
+        anchors, query_groups = queries.forward(query_text[batch], params)
+        doc_outs, doc_groups = docs.forward(doc_texts, params)
         if not (np.isfinite(anchors).all() and np.isfinite(doc_outs).all()):
             raise NumericalError(f"iteration {iteration}: the encoded batch is non-finite")
-        column = {did: i for i, did in enumerate(batch_doc_ids)}
-        positive = np.array([column[p.positive_doc_id] for p in batch], dtype=np.intp)
 
         negative = mine_hard(anchors, doc_outs[positive], doc_outs, positive, semi_hard=semi_hard)
         losses, active, g_anchor, g_doc = triplet_step(anchors, doc_outs, positive, negative, cfg.loss)

@@ -357,7 +357,13 @@ def conv_backward(
 
     _run(input_grads, _chunks(batch, batch * k, batch * k * taps * d * n_k))
     del kern
-    gxp = np.zeros_like(xp)
+    # Tap s adds window row t's gradient to text row t + s - pad; rows that
+    # land in the padding are dropped. Each text row sums its taps in tap
+    # order from +0.0, as an accumulation into a zero-padded buffer would.
+    gx = np.zeros((batch, k, d), dtype=dt)
     for s in range(lo, hi):
-        gxp[:, s:s + k] += gwin[:, :, s - lo]
-    return gxp[:, pad:pad + k], gw, gb
+        shift = s - pad
+        if abs(shift) < k:
+            rows = gwin[:, max(0, -shift):k - max(0, shift), s - lo]
+            gx[:, max(0, shift):k + min(0, shift)] += rows
+    return gx, gw, gb

@@ -79,10 +79,21 @@ def relu(x: np.ndarray) -> np.ndarray:
 
 
 def relu_backward(x: np.ndarray, upstream: np.ndarray) -> np.ndarray:
-    """Pass upstream where x > 0, zero elsewhere (subgradient 0 at 0)."""
+    """Pass upstream where x > 0, zero elsewhere (subgradient 0 at 0).
+
+    Byte for byte ``np.where(x > 0, upstream, 0)``, NaN, -0.0 and inf
+    included, computed as a bit mask: ``-(x > 0)`` as an integer of the
+    upstream's width (all ones or all zeros) ANDed with the upstream's
+    bits, in the output buffer itself.
+    """
     if x.shape != upstream.shape:
         raise ShapeError(f"upstream shape {upstream.shape} does not match input {x.shape}")
-    return np.where(x > 0, upstream, 0)
+    out = np.empty(upstream.shape, dtype=upstream.dtype)
+    bits = out.view(np.dtype(f"i{upstream.dtype.itemsize}"))
+    np.greater(x, 0, out=bits)
+    np.negative(bits, out=bits)
+    np.bitwise_and(bits, upstream.view(bits.dtype), out=bits)
+    return out
 
 
 def mean_over_positions(x: np.ndarray) -> np.ndarray:

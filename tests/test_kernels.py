@@ -241,3 +241,37 @@ def test_a_batch_of_zero_position_texts(dtype, input_grad):
     for grad in (gw, gb):
         assert grad.dtype == dtype and not grad.any() and not np.signbit(grad).any()
     assert gw.transpose(1, 2, 0).flags.c_contiguous
+
+
+def padded_input_gradient(x, w, g):
+    """conv_backward's input gradient accumulated into a zero-padded buffer, tap by tap.
+
+    Same taps and the same window-gradient GEMM as ``conv_backward``; each
+    tap adds its rows into (B, k + ws - 1, d) and the text's rows are cut
+    out at the end.
+    """
+    batch, k, d = x.shape
+    n_k, ws, _ = w.shape
+    pad = (ws - 1) // 2
+    lo, hi = kernels._taps(batch * k, d, k, ws)
+    kern = np.ascontiguousarray(w[:, lo:hi]).reshape(n_k, (hi - lo) * d)
+    gwin = np.dot(g.reshape(batch * k, n_k), kern).reshape(batch, k, hi - lo, d)
+    gxp = np.zeros((batch, k + ws - 1, d), dtype=x.dtype)
+    for s in range(lo, hi):
+        gxp[:, s:s + k] += gwin[:, :, s - lo]
+    return gxp[:, pad:pad + k]
+
+
+@pytest.mark.parametrize("ws", [1, 3, 5, 7])
+@pytest.mark.parametrize("k", [1, 2, 3, 12])
+@pytest.mark.parametrize("batch", [1, 3])
+@pytest.mark.parametrize("d", [4, 64])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_the_unpadded_input_gradient_equals_the_padded_accumulation(ws, k, batch, d, dtype):
+    """Texts shorter than the pad included; one text of one position keeps every tap."""
+    x, w, _, g = grid_case(ws, k, batch, d, dtype)
+    w = gemm_major(w)
+    gx, _, _ = kernels.conv_backward(x, w, g)
+    want = padded_input_gradient(x, w, g)
+    assert gx.shape == x.shape and gx.dtype == dtype and gx.flags.c_contiguous
+    assert gx.tobytes() == np.ascontiguousarray(want).tobytes()

@@ -38,7 +38,8 @@ from multires.model.encoder import (
     mean_embedding_encode,
 )
 from multires.numerics import finite_diff_check
-from multires.numerics.adam import AdamConfig
+from multires.model.loss import triplet_step
+from multires.numerics.adam import AdamConfig, AdamState, adam_step
 from multires.retrieval import evaluate
 
 
@@ -565,6 +566,105 @@ class TestTrain:
         one = serialize_params(result.params, "convrr")
         again = serialize_params(result.params, "convrr")
         assert one == again
+
+
+def take(texts, positions):
+    """The TokenTexts at ``positions``, one list entry per text."""
+    names = [texts.names[i] for i in positions]
+    return TokenTexts(texts.table, [texts.ids[i] for i in positions], names, texts.kind)
+
+
+def reference_train(pairs, query_matrices, doc_matrices, kind, cfg):
+    """``train``'s loop written with per-pair bookkeeping, as a reference.
+
+    Batch documents come from ``dict.fromkeys`` over the positives, each
+    pair's positive from a column dict, and each batch's texts from
+    ``take`` and ``grouped_forward``; the arithmetic is ``train``'s.
+    Returns the loss trace, the active fractions and the final parameters.
+    """
+    queries = as_token_texts(query_matrices, "query", np.float32)
+    docs = as_token_texts(doc_matrices, "document", np.float32)
+    query_pos = {qid: i for i, qid in enumerate(queries.names)}
+    doc_pos = {did: i for i, did in enumerate(docs.names)}
+    rng = np.random.default_rng(cfg.seed)
+    dim = docs.table.shape[1]
+    if kind == "convrr":
+        params = init_convrr_params(
+            dim, depth=cfg.depth, window=cfg.window, scale=cfg.scale, rng=rng
+        )
+    else:
+        params = init_fcrr_params(dim, scale=cfg.scale, rng=rng)
+    tensors = params.tensors()
+    states = [AdamState.zeros_like(t) for t in tensors]
+    batch_size = min(cfg.batch_size, len(pairs))
+    order, cursor = rng.permutation(len(pairs)), 0
+    losses_trace, fractions = [], []
+    for _ in range(cfg.iterations):
+        if cursor + batch_size > len(pairs):
+            order, cursor = rng.permutation(len(pairs)), 0
+        batch = [pairs[i] for i in order[cursor:cursor + batch_size]]
+        cursor += batch_size
+        batch_doc_ids = list(dict.fromkeys(p.positive_doc_id for p in batch))
+        if cfg.mining == "full_scan" or len(batch_doc_ids) < 2:
+            batch_doc_ids = list(doc_pos)
+        query_texts = take(queries, [query_pos[p.query_id] for p in batch])
+        doc_texts = take(docs, [doc_pos[d] for d in batch_doc_ids])
+        anchors, query_groups = grouped_forward(query_texts, params)
+        doc_outs, doc_groups = grouped_forward(doc_texts, params)
+        column = {did: i for i, did in enumerate(batch_doc_ids)}
+        positive = np.array([column[p.positive_doc_id] for p in batch], dtype=np.intp)
+        negative = mine_hard(
+            anchors, doc_outs[positive], doc_outs, positive, semi_hard=cfg.mining == "semi_hard"
+        )
+        losses, active, g_anchor, g_doc = triplet_step(
+            anchors, doc_outs, positive, negative, cfg.loss
+        )
+        losses_trace.append(float(np.mean(losses)))
+        fractions.append(active / len(batch))
+        grads = grouped_backward(params, query_groups, g_anchor)
+        grads = [g + dg for g, dg in zip(grads, grouped_backward(params, doc_groups, g_doc))]
+        for i, grad in enumerate(grads):
+            tensors[i], states[i] = adam_step(tensors[i], grad, states[i], cfg.adam)
+        params = params.replace_tensors(tensors)
+    return losses_trace, fractions, params
+
+
+def two_length_pairs(n_pairs=12, dim=6, seed=0):
+    """Queries of 1 and 3 positions and documents of 2 and 4, some documents shared."""
+    gen = np.random.default_rng(seed)
+    queries, docs = {}, {}
+    for i in range(n_pairs):
+        queries[f"q{i}"] = gen.normal(size=(1 + 2 * (i % 2), dim)).astype(np.float32)
+        docs[f"d{i}"] = gen.normal(size=(2 + 2 * (i % 3 == 0), dim)).astype(np.float32)
+    pairs = [QaPair(f"q{i}", "", f"d{i // 2 if i % 3 else i}") for i in range(n_pairs)]
+    return pairs, queries, docs
+
+
+class TestTrainMatchesTheReferenceLoop:
+    """Index-array batches give the per-pair loop's loss traces, active fractions and bytes."""
+
+    CASES = {
+        "two_clusters": lambda: two_cluster_pairs(n_pairs=16, spread=0.4),
+        "one_document_batch": lambda: shared_gold_pairs("a", "a", "b"),
+        "repeated_positives": lambda: shared_gold_pairs("a", "b", "a", "a", "b", "b", "a"),
+        "two_lengths": two_length_pairs,
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("mining", ["batch_hard", "semi_hard", "full_scan"])
+    @pytest.mark.parametrize("kind", ["convrr", "fcrr"])
+    def test_same_traces_and_parameter_bytes(self, case, mining, kind):
+        pairs, queries, docs = self.CASES[case]()
+        batch_size = 2 if case == "one_document_batch" else 5
+        cfg = TrainConfig(
+            iterations=7, batch_size=batch_size, seed=3, mining=mining,
+            adam=AdamConfig(learning_rate=1e-2), loss=LossConfig(margin=0.5),
+        )
+        got = train(pairs, queries, docs, kind, cfg)
+        trace, fractions, params = reference_train(pairs, queries, docs, kind, cfg)
+        assert got.loss_trace == trace
+        assert got.active_fractions == fractions
+        assert serialize_params(got.params, kind) == serialize_params(params, kind)
 
 
 class TestMeanEmbeddingBaseline:

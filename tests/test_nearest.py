@@ -138,6 +138,30 @@ def test_extreme_magnitudes(rng, scale):
     assert_matches_oracle(queries, vectors, 1, exclude=np.array([0, 3, 7, 29]))
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("floor", [None, (0.0, 0.0), (1.0, 1e30), (np.inf, np.inf)])
+def test_an_excluded_column_is_never_returned(k, floor):
+    """Beside an overflow-wide query (eps = inf), tied with its duplicates at the k-th distance.
+
+    Rows 0 and 1 are one vector so large that a query equal to it overflows
+    the float32 product bound, so all its estimates are recomputed; row 8
+    duplicates row 3, which the second, ordinary query equals. Each query
+    excludes one of its two exact matches, which tie at distance 0.
+    """
+    gen = np.random.default_rng(k)
+    vectors = gen.normal(size=(9, 5)).astype(np.float32)
+    vectors[0] = vectors[1] = np.float32(1.5e19 / np.sqrt(5))
+    vectors[8] = vectors[3]
+    queries = vectors[[0, 3]]
+    exclude = np.array([0, 3])
+    floor = None if floor is None else np.array(floor)
+    idx, _ = nearest(queries, vectors, k, exclude=exclude, floor=floor)
+    assert exclude[0] not in idx[0] and exclude[1] not in idx[1]
+    if floor is None:
+        assert idx[:, 0].tolist() == [1, 8]
+    assert_matches_oracle(queries, vectors, k, exclude, floor)
+
+
 def test_k_at_least_n_returns_every_allowed_row(rng):
     vectors = rng.normal(size=(5, 3))
     queries = rng.normal(size=(2, 3))

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from multires.errors import DegenerateVectorError, EmptyInputError
 from multires.numerics import (
@@ -40,6 +41,26 @@ class TestRelu:
         x = np.array([0.0, -0.0, 1.0])
         g = np.ones(3)
         assert np.array_equal(relu_backward(x, g), [0.0, 0.0, 1.0])
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from([np.float32, np.float64]),
+        st.sampled_from([np.float32, np.float64]),
+        st.integers(1, 40),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_backward_is_np_where_byte_for_byte(self, x_dtype, g_dtype, n, seed):
+        """NaN, signed zeros and infinities in either operand, any mix of the two dtypes."""
+        gen = np.random.default_rng(seed)
+        specials = np.array([np.nan, -np.nan, 0.0, -0.0, np.inf, -np.inf, 1e-45, -1e-45])
+        x, g = (gen.normal(size=(n, 3)) for _ in range(2))
+        for a in (x, g):
+            hit = gen.random(a.shape) < 0.4
+            a[hit] = gen.choice(specials, size=hit.sum())
+        x, g = x.astype(x_dtype), g.astype(g_dtype)
+        got, want = relu_backward(x, g), np.where(x > 0, g, 0)
+        assert got.dtype == want.dtype == g_dtype
+        assert got.tobytes() == want.tobytes()
 
 
 class TestMeanOverPositions:
