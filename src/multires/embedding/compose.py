@@ -30,7 +30,7 @@ class LayeredTokenEmbedding:
     def __post_init__(self):
         if self.layers.ndim not in (2, 3) or min(self.layers.shape[-2:]) < 1:
             raise SpecError(f"layers must be [k x] l x d with l,d >= 1, got {self.layers.shape}")
-        if not np.all(np.isfinite(self.layers)):
+        if not np.isfinite(self.layers).all():
             raise NumericalError(f"non-finite layer entries for model {self.model_id!r}")
 
     @property
@@ -54,24 +54,21 @@ def mix_layers(
         raise SpecError(
             f"{len(spec.weights)} weights for model {emb.model_id!r} with {emb.num_layers} layers"
         )
-    idf_weight = np.asarray(idf_weight, dtype=emb.layers.dtype)
-    if idf_weight.shape != emb.layers.shape[:-2]:
-        raise ShapeError(f"idf shape {idf_weight.shape} for layers of shape {emb.layers.shape}")
-    weights = np.asarray(spec.weights, dtype=emb.layers.dtype)
-    if spec.aggregator == "sum":
-        out = np.einsum("l,...ld->...d", weights, emb.layers)
-    elif spec.aggregator == "average":
-        out = np.einsum("l,...ld->...d", weights, emb.layers) / emb.num_layers
-    else:  # concatenate: zero-weight layers contribute no segment
-        segments = []
-        for i, w in enumerate(spec.weights):
-            if w == 0.0:
-                continue
-            row = emb.layers[..., i, :]
-            segments.append(row * weights[i] if spec.scale_segments else row)
-        out = np.concatenate(segments, axis=-1)
-    if spec.use_idf:
-        out = out * idf_weight[..., None]
+    if np.shape(idf_weight) != emb.layers.shape[:-2]:
+        raise ShapeError(f"idf shape {np.shape(idf_weight)} for layers of shape {emb.layers.shape}")
+    dtype = emb.layers.dtype
+    if spec.aggregator == "concatenate":  # zero-weight layers contribute no segment
+        kept = [i for i, w in enumerate(spec.weights) if w != 0.0]
+        out = np.take(emb.layers, kept, axis=-2)
+        if spec.scale_segments:
+            out *= np.asarray([spec.weights[i] for i in kept], dtype)[:, None]
+        out = out.reshape(out.shape[:-2] + (-1,))  # the kept layers end to end, in layer order
+    else:
+        out = np.einsum("l,...ld->...d", np.asarray(spec.weights, dtype), emb.layers)
+        if spec.aggregator == "average":
+            out = out / emb.num_layers
+    if spec.use_idf:  # every branch above made ``out`` afresh
+        out *= np.asarray(idf_weight, dtype)[..., None]
     return out
 
 

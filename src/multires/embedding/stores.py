@@ -115,10 +115,11 @@ class ContextFreeStore:
 
     def gather(self, tokens: Sequence[str]) -> tuple[np.ndarray, int]:
         """The (k, l, d) rows of ``tokens`` in order, zeros for a token with none; and the hits."""
-        at = np.array([self.index.get(t, -1) for t in tokens], np.intp)
-        hit = at >= 0
-        if hit.all():
+        at = [self.index.get(t, -1) for t in tokens]
+        if -1 not in at:
             return self.rows[at], len(tokens)
+        at = np.array(at, np.intp)
+        hit = at >= 0
         stack = np.zeros((len(tokens), self.num_layers, self.dim), self.dtype)
         stack[hit] = self.rows[at[hit]]
         return stack, int(np.count_nonzero(hit))

@@ -10,7 +10,9 @@ construction: there is a single parameter object.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 import threading
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
@@ -396,12 +398,18 @@ def _gather(texts, part: list[int], k: int) -> np.ndarray:
 
     TokenTexts gather it from their table with one fancy index; per-text
     matrices concatenate only the part's own, so the inputs are never
-    copied whole.
+    copied whole. A part of one C-order matrix is a view of it: the copy
+    that concatenating it would make holds the same values in the same
+    layout, so the sums over its rows keep their order.
     """
     if isinstance(texts, TokenTexts):
         return texts.table[np.concatenate([texts.ids[i] for i in part]).reshape(len(part), k)]
+    first = texts[part[0]]
     try:
-        rows = np.concatenate([texts[i] for i in part])
+        if len(part) == 1 and type(first) is np.ndarray and first.flags.c_contiguous:
+            rows = first
+        else:
+            rows = np.concatenate([texts[i] for i in part])
     except ValueError as exc:
         raise ShapeError(f"text matrices do not concatenate: {exc}") from None
     if rows.ndim != 2:
@@ -426,11 +434,14 @@ def _length_groups(lengths: np.ndarray) -> list[tuple[int, np.ndarray]]:
     """(k, positions) of each group of equal ``lengths``, shortest first.
 
     The groups come from one stable argsort of the lengths, so each holds
-    its positions in input order, as an intp array.
+    its positions in input order, as an intp array. Lengths that are all
+    equal, as those of a single text, form one group without the sort.
     """
-    order = np.argsort(lengths, kind="stable")
-    if not order.size:
+    if not lengths.size:
         return []
+    if (lengths == lengths[0]).all():
+        return [(int(lengths[0]), np.arange(lengths.size))]
+    order = np.argsort(lengths, kind="stable")
     ks = lengths[order]
     cuts = [0, *(np.flatnonzero(ks[1:] != ks[:-1]) + 1).tolist(), order.size]
     return [(int(ks[lo]), order[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
@@ -615,10 +626,18 @@ def encode_texts(texts, params) -> np.ndarray:
     texts. Since each part's rows equal one forward of its group, the bytes
     do not depend on the number of workers.
 
+    A single text, as a served query, skips the planning: it is one part
+    whatever the number of workers, so it runs as one forward on this
+    thread without reading the worker count, and a one-text list is
+    gathered without a copy (``_gather``).
+
     A text that encodes to a zero-norm vector raises ``DegenerateVectorError``
     naming it (see ``_forward_part``). When several parts fail, the error of
     the first in run order is raised, as a serial run would.
     """
+    if len(texts) == 1:  # one text, as a served query: one part, whatever the workers
+        k = len(texts.ids[0] if isinstance(texts, TokenTexts) else texts[0])
+        return _forward_part(texts, params, k, [0])[0]
     workers = kernels.split_workers()
     parts = _parts(texts, params, _part_cells(workers))
     if not parts:
@@ -656,8 +675,11 @@ def encode_texts(texts, params) -> np.ndarray:
 
 
 def squared_distances(vectors: np.ndarray, query: np.ndarray) -> np.ndarray:
-    """Row-wise squared Euclidean distances, the elementwise sums ``nearest`` returns."""
-    return np.sum((vectors - query) ** 2, axis=1)
+    """Row-wise squared Euclidean distances, the elementwise sums ``nearest`` returns.
+
+    ``np.sum((vectors - query) ** 2, axis=1)``, through the ufuncs those calls make.
+    """
+    return np.add.reduce(np.square(vectors - query), axis=1)
 
 
 # Query x vector cells estimated per block; bounds nearest's temporary arrays.
@@ -688,12 +710,30 @@ def _gamma(n: int, u: float) -> float:
     return n * u / (1.0 - n * u) if n * u < 1.0 else np.inf
 
 
-def _check_finite_rows(name: str, norms: np.ndarray) -> None:
-    """Raise for the first row whose squared norm is not finite."""
-    if not np.isfinite(norms.sum()):  # one reduction in the common, finite case
-        bad = np.flatnonzero(~np.isfinite(norms))
-        if bad.size:
-            raise NumericalError(f"{name} row {bad[0]} is non-finite")
+@functools.lru_cache(maxsize=64)
+def _eps_terms(dtype: np.dtype, d: int) -> tuple[float, float, float]:
+    """(rate, tiny, largest) of ``nearest``'s eps for rows of width d in ``dtype``.
+
+    eps = rate * B + tiny, and a query whose float64 bound B exceeds
+    ``largest``, the dtype's largest finite value (at most float64's), gets
+    eps = inf.
+    """
+    finfo = np.finfo(dtype)
+    rate = (3 * _gamma(d + 2, float(finfo.eps) / 2) + 8 * _gamma(d + 4, 2.0**-53)) * 1.01
+    largest = float(min(finfo.max, np.finfo(np.float64).max))
+    return rate, 4 * (d + 2) * float(finfo.smallest_subnormal), largest
+
+
+def _check_finite_rows(name: str, norms: np.ndarray) -> float:
+    """The largest squared row norm, 0.0 for none; raises for the first that is not finite.
+
+    Squared norms are NaN, +inf or at least 0, so one maximum finds a row
+    that is not finite: NaN and +inf propagate through it.
+    """
+    top = float(np.maximum.reduce(norms, initial=0.0))
+    if not math.isfinite(top):
+        raise NumericalError(f"{name} row {np.flatnonzero(~np.isfinite(norms))[0]} is non-finite")
+    return top
 
 
 def _cells(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -723,7 +763,9 @@ def nearest(
     ``floor[q]``; entries past the rows it has left read index -1 and
     distance inf.
 
-    The ranking runs in blocks of at most ``BLOCK_CELLS`` cells:
+    The ranking runs in blocks of at most ``BLOCK_CELLS`` cells (a block of
+    one query, as ``search`` ranks, takes its candidates straight from its
+    row of the estimates):
 
     1. One GEMM in the inputs' dtype estimates every distance,
        E = |q|^2 + |v|^2 - 2 q.v, with the squared norms in float64.
@@ -772,22 +814,24 @@ def nearest(
     q_norms = row_sq_norms(q)
     v_norms = row_sq_norms(v) if sq_norms is None else sq_norms
     _check_finite_rows("query", q_norms)
-    _check_finite_rows("vector", v_norms)
+    v_top = math.sqrt(_check_finite_rows("vector", v_norms))
     if kk < 1 or n_q == 0:
         return np.zeros((n_q, max(kk, 0)), dtype=np.intp), np.zeros((n_q, max(kk, 0)), dtype=dtype)
 
-    finfo = np.finfo(dtype)
-    rate = (3 * _gamma(d + 2, float(finfo.eps) / 2) + 8 * _gamma(d + 4, 2.0**-53)) * 1.01
-    bound = (np.sqrt(q_norms) + np.sqrt(v_norms.max())) ** 2
-    eps = rate * bound + 4 * (d + 2) * float(finfo.smallest_subnormal)
-    wide = None if bound.max() <= finfo.max else ~(bound <= finfo.max)
+    rate, tiny, largest = _eps_terms(dtype, d)
+    bound = np.sqrt(q_norms)
+    bound += v_top
+    np.square(bound, out=bound)  # B = (|q| + max|v|)^2
+    eps = bound * rate
+    eps += tiny
+    wide = None if bound.max() <= largest else ~(bound <= largest)
     if wide is not None:
         eps[wide] = np.inf
+    eps2 = eps * 2
     qd, vd = q.astype(dtype, copy=False), v.astype(dtype, copy=False)
 
     indices = np.empty((n_q, kk), dtype=np.intp)
     dists = np.empty((n_q, kk), dtype=dtype)
-    rank = np.arange(kk)
     step = max(1, BLOCK_CELLS // n)
     for lo in range(0, n_q, step):
         hi = min(lo + step, n_q)
@@ -806,26 +850,37 @@ def nearest(
             if exclude is not None:
                 allowed[excluded] = False  # so the band below never recomputes it
             rows, cols = _cells(allowed & ~(est - e_b >= f))
-            exact = np.sum((vd[cols] - qb[rows]) ** 2, axis=1)
+            exact = squared_distances(vd[cols], qb[rows])
             allowed[rows, cols] = ~(exact < f[rows, 0])
             est[rows, cols] = exact
         if exclude is not None:
             est[excluded] = np.inf  # kk <= n - 1 leaves kk other columns to rank
         masked = est if allowed is None else np.where(allowed, est, np.inf)
         kth = masked.min(axis=1) if kk == 1 else np.partition(masked, kk - 1, axis=1)[:, kk - 1]
-        cand = est <= kth[:, None] + 2 * e_b
+        cand = est <= kth[:, None] + eps2[lo:hi, None]
         if exclude is not None:
             cand[excluded] = False  # inf <= inf where eps or the k-th estimate is inf
-        rows, cols = _cells(cand if allowed is None else cand & allowed)
-        exact = np.sum((vd[cols] - qb[rows]) ** 2, axis=1)
+        if allowed is not None:
+            cand &= allowed
+        if hi - lo == 1:  # one query: its candidates are the columns of one row
+            cols = cand[0].nonzero()[0]
+            exact = squared_distances(vd[cols], qb)
+            picks = np.lexsort((cols, exact))[:kk]
+            found = picks.size  # below kk only when the floor leaves fewer rows
+            indices[lo, :found], dists[lo, :found] = cols[picks], exact[picks]
+            if found < kk:
+                indices[lo, found:], dists[lo, found:] = -1, np.inf
+            continue
+        rows, cols = _cells(cand)
+        exact = squared_distances(vd[cols], qb[rows])
         order = np.lexsort((cols, exact, rows))
         counts = np.bincount(rows, minlength=hi - lo)
-        take = (counts.cumsum() - counts)[:, None] + rank
+        take = (counts.cumsum() - counts)[:, None] + np.arange(kk)
         cols, exact = cols[order], exact[order]
         if floor is not None:
             # A query may run out of rows above its floor: those picks read
             # a sentinel appended last, index -1 at distance inf.
-            take[rank >= counts[:, None]] = -1
+            take[np.arange(kk) >= counts[:, None]] = -1
             cols, exact = np.append(cols, -1), np.append(exact, np.inf)
         indices[lo:hi], dists[lo:hi] = cols[take], exact[take]
     return indices, dists

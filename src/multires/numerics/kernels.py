@@ -62,6 +62,14 @@ the transposed operand of an "NT" gemm, which OpenBLAS 0.3.31 ran 1.7x
 slower on a 12 x 1440 x 288 product (one 12-position text at d''=288)
 and, for products of a few rows, sums in another order than NN.
 
+A served query runs one small forward per conv block, so the forward
+keeps its fixed work per call small: the window view is a bare
+``np.ndarray`` over the padded rows (not numpy's ``as_strided`` wrapper),
+kernels and bias already in the common dtype and layout are used as they
+are, and for a single text the bias is added in place. A batch keeps the
+separate ``out + b``, whose allocation order the comment in
+``conv_forward`` explains. Every call still goes through ``_run``.
+
 Shapes (everything row-major, any float dtype; mixed inputs run in their
 common dtype):
     x    (B, k, d_in)    batch of texts, k positions, d_in features
@@ -79,7 +87,7 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Callable
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided, sliding_window_view
+from numpy.lib.stride_tricks import sliding_window_view
 
 try:
     from numpy._core import _multiarray_umath as _umath
@@ -261,9 +269,11 @@ def conv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     xp = np.zeros((batch, k + ws - 1, d), dtype=dt)
     xp[:, pad:pad + k] = x
     # win[i, t, s] is row t + s of padded text i: the window of position t
-    win = as_strided(xp, (batch, k, ws, d), xp.strides[:2] + xp.strides[1:], writeable=False)
-    kern = np.ascontiguousarray(w.transpose(1, 2, 0), dtype=dt).reshape(ws * d, n_k)
-    bias = b.astype(dt, copy=False)
+    win = np.ndarray((batch, k, ws, d), dt, xp, 0, xp.strides[:2] + xp.strides[1:])
+    kern = w.transpose(1, 2, 0)  # a free view of GEMM-major kernels
+    if kern.dtype != dt or not kern.flags.c_contiguous:
+        kern = np.ascontiguousarray(kern, dtype=dt)
+    kern = kern.reshape(ws * d, n_k)
     # With one position or one tap, the windows are the padded rows themselves.
     copy = k > 1 and ws > 1
     cols = np.empty((batch, k, ws, d), dtype=dt) if copy else win
@@ -275,11 +285,13 @@ def conv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
         np.dot(cols[lo:hi].reshape(-1, ws * d), kern, out=out[lo:hi].reshape(-1, n_k))
 
     _run(texts, _chunks(batch, batch * k, batch * k * ws * d * n_k))
+    del cols
+    if batch == 1:  # one text, as a served query: add the bias in place
+        return np.add(out, b, out=out)
     # The unsplit kernel's allocations in its order, which glibc serves without
     # fresh pages on run_clustered_benchmark's shapes (a bias added in place
     # cost 1376 page faults per two-block forward there).
-    del cols
-    return out + bias
+    return out + b
 
 
 def _taps(rows: int, d: int, k: int, ws: int) -> tuple[int, int]:

@@ -97,12 +97,20 @@ def relu_backward(x: np.ndarray, upstream: np.ndarray) -> np.ndarray:
 
 
 def mean_over_positions(x: np.ndarray) -> np.ndarray:
-    """Mean over the position axis (-2) of a (..., k, d) array; k must be >= 1."""
+    """Mean over the position axis (-2) of a (..., k, d) array; k must be >= 1.
+
+    Bit for bit ``x.mean(axis=-2)``. For float32 and wider floats it makes
+    numpy's own calls without their Python wrapper: ``np.add.reduce``, then
+    an in-place division by the count as an intp, with unsafe casting.
+    """
     if x.ndim < 2:
         raise ShapeError(f"expected (..., k, d) array, got shape {x.shape}")
     if x.shape[-2] == 0:
         raise EmptyInputError("mean over zero positions")
-    return x.mean(axis=-2)
+    if x.dtype.kind != "f" or x.dtype.itemsize < 4:  # mean sums these in another dtype
+        return x.mean(axis=-2)
+    total = np.add.reduce(x, axis=-2)
+    return np.true_divide(total, np.intp(x.shape[-2]), out=total, casting="unsafe")
 
 
 def mean_over_positions_backward(upstream: np.ndarray, k: int) -> np.ndarray:
@@ -115,11 +123,13 @@ def mean_over_positions_backward(upstream: np.ndarray, k: int) -> np.ndarray:
 
 def _row_norms(v: np.ndarray, norm_floor: float) -> np.ndarray:
     """Euclidean norms over the last axis (kept); rejects any at or below the floor."""
-    norm = np.sqrt(np.sum(v * v, axis=-1, keepdims=True))
-    if np.any(norm <= norm_floor):
-        low = np.flatnonzero(norm <= norm_floor)[0]  # the first such vector, in C order
+    norm = np.add.reduce(v * v, axis=-1, keepdims=True)  # np.sum's own call
+    np.sqrt(norm, out=norm)
+    low = norm <= norm_floor
+    if low.any():
+        first = int(np.flatnonzero(low)[0])  # the first such vector, in C order
         raise DegenerateVectorError(
-            f"vector norm {float(norm.flat[low]):g} at or below floor {norm_floor:g}", int(low)
+            f"vector norm {float(norm.flat[first]):g} at or below floor {norm_floor:g}", first
         )
     return norm
 

@@ -1,9 +1,13 @@
 """The digest comparison of tools/artifact_digests.py, on canned digests."""
 
 import importlib.util
+import json
 import os
 
+import numpy as np
 import pytest
+
+from multires import cli
 
 _PATH = os.path.join(os.path.dirname(__file__), "..", "tools", "artifact_digests.py")
 _spec = importlib.util.spec_from_file_location("artifact_digests", _PATH)
@@ -53,3 +57,22 @@ def test_main_exits_1_when_the_trees_differ(tmp_path, monkeypatch):
 def test_an_unknown_parent_revision_stops_the_run(tmp_path):
     with pytest.raises(SystemExit, match="unknown revision 'no-such-revision'"):
         artifact_digests.extract("no-such-revision", str(tmp_path))
+
+
+def test_served_ranks_each_query_as_cli_search_prints_it(cli_workspace, capsys):
+    """The served artifact covers every QA query, ranked as ``multires search`` ranks it alone."""
+    assert "served" in artifact_digests.ARTIFACTS
+    config = str(cli_workspace["config"])
+    assert cli.main(["train", "--config", config]) == 0
+    assert cli.main(["index", "--config", config]) == 0
+    capsys.readouterr()
+    with open(cli_workspace["pairs"], encoding="utf-8") as fh:
+        queries = [line for line in fh.read().splitlines() if line]
+    records = list(artifact_digests.served(config))
+    assert len(records) == len(queries) == 8
+    for line, (vec, hits) in zip(queries, records):
+        text = json.loads(line)["query_text"]
+        assert cli.main(["search", "--config", config, "--k", str(artifact_digests.SERVE_K), text]) == 0
+        printed = [tuple(row.split("\t")) for row in capsys.readouterr().out.splitlines()]
+        assert hits == printed and len(hits) == 8
+        assert vec.dtype == np.float32 and abs(float(np.linalg.norm(vec)) - 1.0) < 1e-6

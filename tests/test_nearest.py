@@ -411,3 +411,51 @@ def test_row_sq_norms_do_not_depend_on_the_chunking(n, d, dtype, monkeypatch):
     for cells in (1, 7 * d, encoder.NORM_CELLS):
         monkeypatch.setattr(encoder, "NORM_CELLS", cells)
         assert row_sq_norms(rows).tobytes() == whole.tobytes()
+
+
+# --- one query against many rows, as a served query is ranked ---
+
+
+def _served_case(dtype, d, k, seed):
+    """1000 unit rows and one query near a scattered cluster of near duplicates.
+
+    The cluster's rows differ by a few ulps, so only the exact recompute
+    orders them. The row at rank k then gets an exact duplicate far away in
+    the index, so the k-th distance is tied between rows about 500 apart.
+    """
+    gen = np.random.default_rng(seed)
+    rows = gen.normal(size=(1000, d))
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    cluster = np.arange(5, 1000, 33)
+    noise = np.finfo(dtype).eps * gen.choice([0.5, 2.0, 8.0], size=(cluster.size, 1))
+    rows[cluster] = rows[5] + noise * gen.normal(size=(cluster.size, d))
+    vectors = rows.astype(dtype)
+    query = (rows[5] + 0.01 * gen.normal(size=d)).astype(dtype)[None]
+    dist = squared_distances(vectors, query[0])
+    order = np.argsort(dist, kind="stable")
+    kth = order[min(k, 1000) - 1]
+    later = order[k:] if k < 1000 else order[:-1]
+    far = later[np.argmax(np.abs(later - kth))]
+    vectors[far] = vectors[kth]
+    return query, vectors
+
+
+@pytest.mark.parametrize("stored", [False, True])
+@pytest.mark.parametrize("k", [1, 10, 1000])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_one_query_over_a_thousand_rows_matches_full_sort(dtype, k, stored):
+    query, vectors = _served_case(dtype, 64, k, seed=k)
+    d = squared_distances(vectors, query[0])
+    want = np.argsort(d, kind="stable")[:k]
+    assert np.sum(d == d[want[-1]]) >= 2  # the k-th distance is tied
+    sq_norms = row_sq_norms(vectors) if stored else None
+    assert_matches_oracle(query, vectors, k, sq_norms=sq_norms)
+
+
+# Widths no other test ranks at, so the first call at each one is the first at that width.
+@pytest.mark.parametrize("first, then, d", [(np.float32, np.float64, 301), (np.float64, np.float32, 302)])
+def test_a_width_ranked_in_one_dtype_then_another_matches_full_sort(first, then, d):
+    """Constants derived once per dtype and width are not shared across dtypes."""
+    for dtype in (first, then):
+        query, vectors = _served_case(dtype, d, 10, seed=d)
+        assert_matches_oracle(query, vectors, 10)

@@ -10,7 +10,12 @@ computes, in a fresh process per tree at one BLAS thread:
   written once by this checkout's ``perfbench/inputs.py`` and read by
   both trees: the checkpoint and loss CSV of CLI ``train``, the report of
   CLI ``eval`` and the index file of CLI ``index`` (over the trained
-  checkpoint).
+  checkpoint);
+- ``served``: every query of that input set's QA pairs served alone over
+  that index, as ``multires search`` serves it (``compose_text``, then
+  ``encode_texts`` of the one matrix, then ``search`` for the top
+  ``SERVE_K``), hashed as each query vector's bytes and its list of
+  (id, ``repr(distance)``) pairs, in order.
 
 The tree is this checkout as its files stand and, with ``--parent``, REV
 of the same repository, extracted with ``git archive`` into a temporary
@@ -38,12 +43,41 @@ OUTPUTS = {  # run config key: the file the CLI writes there
     "report": "report.json",
     "index": "index.mre",
 }
-ARTIFACTS = ["clustered_benchmark.json", *OUTPUTS.values()]
+ARTIFACTS = ["clustered_benchmark.json", *OUTPUTS.values(), "served"]
 INPUT_SEED = 1
+SERVE_K = 10
 
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def served(config_path: str):
+    """Serve each query of the run's QA pairs alone, as ``multires search`` does.
+
+    Loads the stores, spec, IDF, checkpoint and index the way CLI ``search``
+    does, and yields, per query in file order, its vector and its top
+    ``SERVE_K`` as (id, ``repr(distance)``) pairs. It makes only calls that
+    older revisions of the package have too, so a parent tree runs it.
+    """
+    from multires import cli
+    from multires import corpus as corpus_mod
+    from multires.embedding.compose import compose_text
+    from multires.embedding.stores import read_context_free_store
+    from multires.model.checkpoint import read_checkpoint
+    from multires.model.encoder import encode_texts
+    from multires.retrieval import RetrievalIndex, search
+
+    cfg = cli.parse_run_config(config_path)
+    docs = corpus_mod.load_corpus(cfg.corpus)
+    stores, spec, idf = cli._composition(cfg, [] if cfg.idf else docs)
+    params, _ = read_checkpoint(cfg.checkpoint)
+    stored = read_context_free_store(cfg.index, "index")
+    index = RetrievalIndex(tuple(stored.index), stored.rows[:, 0])
+    for pair in corpus_mod.load_qa_pairs(cfg.qa_pairs, docs):
+        matrix = compose_text(corpus_mod.tokenize(pair.query_text), stores, spec, idf)
+        vec = encode_texts([matrix], params)[0]
+        yield vec, [(doc_id, repr(dist)) for doc_id, dist in search(index, vec, SERVE_K)]
 
 
 def tree_digests(inputs: str, out: str) -> dict[str, str]:
@@ -71,6 +105,11 @@ def tree_digests(inputs: str, out: str) -> dict[str, str]:
     for name in OUTPUTS.values():
         with open(os.path.join(out, name), "rb") as fh:
             digests[name] = _sha256(fh.read())
+    digest = hashlib.sha256()
+    for vec, hits in served(config_path):
+        digest.update(vec.tobytes())
+        digest.update(repr(hits).encode("utf-8"))
+    digests["served"] = digest.hexdigest()
     return digests
 
 
