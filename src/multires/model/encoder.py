@@ -14,7 +14,7 @@ import functools
 import itertools
 import math
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -91,10 +91,6 @@ class ConvRRParams:
     def tensor_names(self) -> list[str]:
         return [f"block{i}.{part}" for i in range(1, self.depth + 1) for part in ("kernels", "bias")]
 
-    def text_cells(self, k: int) -> int:
-        """Cells (rows x K) the first conv GEMM reads for one text of k positions."""
-        return k * self.window * self.dim
-
     def replace_tensors(self, tensors: list[np.ndarray]) -> "ConvRRParams":
         blocks = [
             ConvBlock(kernels=tensors[2 * i], bias=tensors[2 * i + 1])
@@ -132,10 +128,6 @@ class FCRRParams:
 
     def tensor_names(self) -> list[str]:
         return ["weight", "bias"]
-
-    def text_cells(self, k: int) -> int:
-        """Cells (rows x K) the dense GEMM reads for one text: its mean row."""
-        return self.dim
 
     def replace_tensors(self, tensors: list[np.ndarray]) -> "FCRRParams":
         return FCRRParams(weight=tensors[0], bias=tensors[1], scale=self.scale)
@@ -338,16 +330,27 @@ class TokenTexts:
     ``names`` holds the texts' ids, in order, or nothing; ``kind`` says what
     the texts are. An error about text i names it by kind and id, or by
     kind and position when the texts have no names.
+
+    The ids are packed once, on construction: text i's ids are
+    ``flat[starts[i]:starts[i] + lengths[i]]``, so any block of texts of
+    one length is gathered with one fancy index and no Python step per text.
     """
 
     table: np.ndarray  # (V, d'')
     ids: Sequence[np.ndarray]  # one intp array of k_i row indices per text
     names: Sequence[str] = ()
     kind: str = "text"
+    flat: np.ndarray = field(init=False, repr=False, compare=False)     # intp
+    starts: np.ndarray = field(init=False, repr=False, compare=False)   # intp, one per text
+    lengths: np.ndarray = field(init=False, repr=False, compare=False)  # intp, one per text
 
     def __post_init__(self):
         if len(self.names) not in (0, len(self.ids)):
             raise ShapeError(f"{len(self.names)} names for {len(self.ids)} texts")
+        lengths = np.fromiter(map(len, self.ids), np.intp, len(self.ids))
+        object.__setattr__(self, "flat", np.concatenate([np.empty(0, np.intp), *self.ids]))
+        object.__setattr__(self, "starts", np.cumsum(lengths) - lengths)
+        object.__setattr__(self, "lengths", lengths)
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -388,22 +391,22 @@ def as_token_texts(texts, kind: str, dtype=None) -> TokenTexts:
     return texts
 
 
-# Most first-layer GEMM cells (rows x K) that encode_texts' batched forwards
-# read at once; bounds their temporary arrays.
+# Most cells (rows x K, ``_text_cells``) of the largest blocks that encode_texts'
+# batched forwards hold at once; bounds their temporary arrays.
 ENCODE_CELLS = 1 << 21
 
 
-def _gather(texts, part: list[int], k: int) -> np.ndarray:
+def _gather(texts, part: Sequence[int], k: int) -> np.ndarray:
     """The (len(part), k, d'') block of the texts at ``part``, all of length k.
 
-    TokenTexts gather it from their table with one fancy index; per-text
-    matrices concatenate only the part's own, so the inputs are never
-    copied whole. A part of one C-order matrix is a view of it: the copy
-    that concatenating it would make holds the same values in the same
-    layout, so the sums over its rows keep their order.
+    TokenTexts gather it from their table with one fancy index over their
+    packed ids; per-text matrices concatenate only the part's own, so the
+    inputs are never copied whole. A part of one C-order matrix is a view
+    of it: the copy that concatenating it would make holds the same values
+    in the same layout, so the sums over its rows keep their order.
     """
     if isinstance(texts, TokenTexts):
-        return texts.table[np.concatenate([texts.ids[i] for i in part]).reshape(len(part), k)]
+        return texts.table[texts.flat[texts.starts[part][:, None] + np.arange(k)]]
     first = texts[part[0]]
     try:
         if len(part) == 1 and type(first) is np.ndarray and first.flags.c_contiguous:
@@ -418,16 +421,22 @@ def _gather(texts, part: list[int], k: int) -> np.ndarray:
 
 
 def _text_cells(texts, params, k: int) -> int:
-    """First-layer GEMM cells of one text of k positions; its input cells for the baseline."""
+    """Cells (rows x K) one text of k positions adds to a forward's largest block.
+
+    That block is the first conv GEMM's k × ws·d'' window copy, or the
+    gathered k × d'' input for fcrr (window 1: its dense GEMM reads one
+    mean row per text) and the baseline.
+    """
     if params is not None:
-        return params.text_cells(k)
+        return k * params.window * params.dim
     return k * (texts.table if isinstance(texts, TokenTexts) else texts[0]).shape[1]
 
 
 def _lengths(texts) -> np.ndarray:
     """Each text's number of positions, as one intp array."""
-    rows = texts.ids if isinstance(texts, TokenTexts) else texts
-    return np.fromiter(map(len, rows), np.intp, len(rows))
+    if isinstance(texts, TokenTexts):
+        return texts.lengths
+    return np.fromiter(map(len, texts), np.intp, len(texts))
 
 
 def _length_groups(lengths: np.ndarray) -> list[tuple[int, np.ndarray]]:
@@ -447,75 +456,84 @@ def _length_groups(lengths: np.ndarray) -> list[tuple[int, np.ndarray]]:
     return [(int(ks[lo]), order[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
 
 
-def _parts(texts, params, max_cells: int | None = None) -> list[tuple[int, list[int]]]:
+def _parts(texts, params, max_cells: int) -> list[tuple[int, np.ndarray]]:
     """(k, input positions) of each part of each group of equal-length texts, in run order.
 
     ``texts`` are TokenTexts or a sequence of (k_i, d'') matrices. Groups
-    run shortest texts first, in input order within a group. With
-    ``max_cells``, a group whose first-layer GEMM would read more than
-    ``max_cells`` cells (rows x K, ``params.text_cells``) runs in near-equal
-    parts of whole texts. If f texts fit the budget (f >= 1, so a text too
-    large for it runs alone), a part holds at most f texts and, since no
-    part is smaller than the group over the number of parts, at least
-    ceil(f / 2). So each part of a split group reads more than
-    (max_cells - one text's cells) / 2 cells: enough rows that the BLAS
-    computes each row of the product as it does inside the whole group,
-    and the parts' outputs equal one forward of the group bit for bit
-    (checked on the BLAS in use by ``tests/test_encode_parts.py``).
+    run shortest texts first, in input order within a group, and a group
+    whose largest block would hold more than ``max_cells`` cells (rows x K,
+    ``_text_cells``) runs in near-equal parts of whole texts. If f texts
+    fit the budget (f >= 1, so a text too large for it runs alone), a part
+    holds at most f texts and, since no part is smaller than the group
+    over the number of parts, at least ceil(f / 2). So each part of a split
+    group reads more than (max_cells - one text's cells) / 2 cells: enough
+    rows that the BLAS computes each row of the product as it does inside
+    the whole group, and the parts' outputs equal one forward of the group
+    bit for bit (checked on the BLAS in use by ``tests/test_encode_parts.py``).
     """
     parts = []
     for k, idxs in _length_groups(_lengths(texts)):
-        idxs = idxs.tolist()
-        n = 1
-        if max_cells is not None:
-            n = -(-len(idxs) // max(1, max_cells // _text_cells(texts, params, k)))
+        n = -(-len(idxs) // max(1, max_cells // _text_cells(texts, params, k)))
         parts += [(k, idxs[p * len(idxs) // n : (p + 1) * len(idxs) // n]) for p in range(n)]
     return parts
 
 
-def _forward_part(texts, params, k: int, part: list[int]) -> tuple[np.ndarray, dict | None]:
-    """Outputs and cache of one batched forward of the texts at ``part``, all of length k.
+def _forward_part(
+    texts, params, k: int, idxs: Sequence[int], positions: np.ndarray | None = None
+) -> tuple[np.ndarray, dict | None]:
+    """Outputs and cache of one batched forward of the texts at ``idxs``, all of length k.
 
-    The forward runs on the block ``_gather`` builds; with ``params`` None,
-    through one ``mean_over_positions`` and one ``l2_normalize`` (the
-    mean-embedding baseline, no cache), whose rows equal
-    ``mean_embedding_encode`` of each text alone bit for bit. A text that
-    encodes to a zero-norm vector raises ``DegenerateVectorError`` at its
-    input position, named by ``TokenTexts.name`` or as "text i".
+    With ``positions``, ``idxs`` are batch positions of the texts at
+    ``positions[idxs]``. The forward runs on the block ``_gather`` builds;
+    with ``params`` None, through one ``mean_over_positions`` and one
+    ``l2_normalize`` (the mean-embedding baseline, no cache), whose rows
+    equal ``mean_embedding_encode`` of each text alone bit for bit. A text
+    that encodes to a zero-norm vector raises ``DegenerateVectorError`` at
+    its position in ``idxs``' frame, named by ``TokenTexts.name`` or as
+    "text i".
     """
+    part = idxs if positions is None else positions[idxs]
     try:
         xs = _gather(texts, part, k)
         if params is None:
             return l2_normalize(mean_over_positions(xs)), None
         return forward_many(xs, params)
     except DegenerateVectorError as exc:
-        pos = part[exc.position]
-        name = texts.name(pos) if isinstance(texts, TokenTexts) else f"text {pos}"
-        raise exc.at(pos, name) from None
+        i = part[exc.position]
+        name = texts.name(i) if isinstance(texts, TokenTexts) else f"text {i}"
+        raise exc.at(int(idxs[exc.position]), name) from None
 
 
-def grouped_forward(texts, params) -> tuple[np.ndarray, list[tuple[list[int], dict]]]:
+def grouped_forward(
+    texts, params, positions: np.ndarray | None = None
+) -> tuple[np.ndarray, list[tuple[np.ndarray, dict]]]:
     """Encode texts of possibly different lengths and keep what the backward needs.
 
-    ``texts`` are TokenTexts or a sequence of (k_i, d'') matrices.
-    Returns the outputs, rows in input order, and per length group its
-    input positions and forward cache, which ``grouped_backward`` consumes.
-    A group is never split into parts: its kernel gradient is one GEMM
-    summing over all its texts, and parts would change that sum's order.
+    ``texts`` are TokenTexts or a sequence of (k_i, d'') matrices. The
+    batch is every text, or, with ``positions`` (intp, into TokenTexts),
+    the texts at ``positions`` in that order, as training gathers each
+    batch with one fancy index per length group. Returns the outputs, one
+    row per batch text in order, and per length group its batch positions
+    (intp) and forward cache, which ``grouped_backward`` consumes. A group
+    is never split into parts: its kernel gradient is one GEMM summing over
+    all its texts, and parts would change that sum's order. A zero-norm
+    text raises ``DegenerateVectorError`` at its batch position, named by
+    its id (see ``_forward_part``).
     """
+    lengths = _lengths(texts) if positions is None else texts.lengths[positions]
     outputs = np.zeros((0, params.dim), dtype=np.float32)
     groups = []
-    for k, idxs in _parts(texts, params):
-        out, cache = _forward_part(texts, params, k, idxs)
+    for k, idxs in _length_groups(lengths):
+        out, cache = _forward_part(texts, params, k, idxs, positions)
         if not groups:
-            outputs = np.empty((len(texts), params.dim), dtype=out.dtype)
+            outputs = np.empty((len(lengths), params.dim), dtype=out.dtype)
         outputs[idxs] = out
         groups.append((idxs, cache))
     return outputs, groups
 
 
 def grouped_backward(
-    params, groups: list[tuple[list[int], dict]], upstream: np.ndarray
+    params, groups: list[tuple[np.ndarray, dict]], upstream: np.ndarray
 ) -> list[np.ndarray]:
     """Parameter gradients of ``grouped_forward``, summed over its length groups.
 
@@ -528,60 +546,14 @@ def grouped_backward(
     return total
 
 
-@dataclass(frozen=True)
-class PackedTexts:
-    """TokenTexts with every text's ids laid end to end, to gather many batches from.
-
-    Text i's ids are ``flat[starts[i]:starts[i] + lengths[i]]``. Packing
-    once lets ``forward`` gather any batch of the texts with one fancy
-    index per length group and no Python step per text.
-    """
-
-    texts: TokenTexts
-    flat: np.ndarray     # intp
-    starts: np.ndarray   # intp, one per text
-    lengths: np.ndarray  # intp, one per text
-
-    @classmethod
-    def of(cls, texts: TokenTexts) -> "PackedTexts":
-        lengths = _lengths(texts)
-        flat = np.concatenate([np.empty(0, np.intp), *texts.ids])
-        return cls(texts, flat, np.cumsum(lengths) - lengths, lengths)
-
-    def forward(self, positions: np.ndarray, params) -> tuple[np.ndarray, list]:
-        """``grouped_forward`` of the texts at ``positions``, bit for bit.
-
-        The groups are ``_length_groups`` of the batch's lengths, the order
-        ``_parts`` runs them in, each block the same bytes ``_gather``
-        builds, so the outputs and caches are the same; a group's
-        positions (into ``positions``) are an intp array. A zero-norm text
-        raises ``DegenerateVectorError`` at its batch position, named by
-        its id, as ``grouped_forward`` would.
-        """
-        outputs = np.zeros((0, params.dim), dtype=np.float32)
-        groups = []
-        for k, idxs in _length_groups(self.lengths[positions]):
-            ids = self.flat[self.starts[positions[idxs]][:, None] + np.arange(k)]
-            try:
-                out, cache = forward_many(self.texts.table[ids], params)
-            except DegenerateVectorError as exc:
-                pos = int(idxs[exc.position])
-                raise exc.at(pos, self.texts.name(positions[pos])) from None
-            if not groups:
-                outputs = np.empty((len(positions), params.dim), dtype=out.dtype)
-            outputs[idxs] = out
-            groups.append((idxs, cache))
-        return outputs, groups
-
-
 # Most parts encode_texts runs at once. Each concurrent part reads at most
-# ENCODE_CELLS // CONCURRENT_PARTS first-layer cells, the size measured on two
+# ENCODE_CELLS // CONCURRENT_PARTS cells, the size measured on two
 # workers: smaller parts cost more per text.
 CONCURRENT_PARTS = 4
 
 
 def _part_cells(workers: int) -> int:
-    """First-layer GEMM cells a part of encode_texts may read at ``workers`` workers."""
+    """Cells (``_text_cells``) a part of encode_texts may hold at ``workers`` workers."""
     return ENCODE_CELLS if workers == 1 else ENCODE_CELLS // CONCURRENT_PARTS
 
 
@@ -618,12 +590,12 @@ def encode_texts(texts, params) -> np.ndarray:
     than ``split_workers()`` at most) each take the next part in run order
     and write its rows into the outputs, and the GEMMs inside a part run
     inline (splits do not nest). A part then holds at most
-    ``ENCODE_CELLS // CONCURRENT_PARTS`` first-layer GEMM cells, so the
-    parts in flight read at most ``ENCODE_CELLS`` together; otherwise, one
-    part after another, a part holds at most ``ENCODE_CELLS``. (Input cells
-    for the baseline; a text larger than that runs alone.) So the memory
+    ``ENCODE_CELLS // CONCURRENT_PARTS`` cells in its largest block
+    (``_text_cells``), so the parts in flight hold at most ``ENCODE_CELLS``
+    together; otherwise, one part after another, a part holds at most
+    ``ENCODE_CELLS``. (A text larger than that runs alone.) So the memory
     beyond the inputs and the outputs is bounded whatever the number of
-    texts. Since each part's rows equal one forward of its group, the bytes
+    texts and whichever the encoder. Since each part's rows equal one forward of its group, the bytes
     do not depend on the number of workers.
 
     A single text, as a served query, skips the planning: it is one part

@@ -74,20 +74,21 @@ def train(
     one Adam step per parameter tensor.
 
     Every per-pair lookup runs once, before the loop: each pair's query
-    text and positive column become intp arrays, and each kind's texts
-    are packed (``PackedTexts``). An iteration then works on index arrays
-    only: its batch documents, in first-occurrence order, and each pair's
-    positive column among them come from one ``np.unique`` and a stable
-    argsort.
+    text and positive column become intp arrays. An iteration then works
+    on index arrays only: its batch documents, in first-occurrence order,
+    and each pair's positive column among them come from one ``np.unique``
+    and a stable argsort, and ``grouped_forward(texts, params, positions)``
+    gathers each length group of the batch from the texts' packed ids with
+    one fancy index.
     """
     if encoder_kind not in ("convrr", "fcrr"):
         raise ConfigError(f"encoder_kind must be 'convrr' or 'fcrr', got {encoder_kind!r}")
     if not pairs:
         raise DatasetError("no training pairs")
-    queries = enc.PackedTexts.of(enc.as_token_texts(query_matrices, "query", np.float32))
-    docs = enc.PackedTexts.of(enc.as_token_texts(doc_matrices, "document", np.float32))
-    query_pos = {qid: i for i, qid in enumerate(queries.texts.names)}
-    doc_pos = {did: i for i, did in enumerate(docs.texts.names)}
+    queries = enc.as_token_texts(query_matrices, "query", np.float32)
+    docs = enc.as_token_texts(doc_matrices, "document", np.float32)
+    query_pos = {qid: i for i, qid in enumerate(queries.names)}
+    doc_pos = {did: i for i, did in enumerate(docs.names)}
     if len(doc_pos) < 2:
         raise DatasetError("need at least 2 distinct documents to mine negatives")
     for pair in pairs:
@@ -107,7 +108,7 @@ def train(
     column = {did: i for i, did in enumerate(doc_pos)}
     positive_column = np.array([column[p.positive_doc_id] for p in pairs], dtype=np.intp)
     all_doc_texts = np.fromiter(doc_pos.values(), dtype=np.intp, count=len(doc_pos))
-    dim = docs.texts.table.shape[1]
+    dim = docs.table.shape[1]
 
     rng = np.random.default_rng(cfg.seed)
     if encoder_kind == "convrr":
@@ -146,8 +147,8 @@ def train(
             rank[by_first] = np.arange(len(by_first))
             doc_texts, positive = all_doc_texts[distinct[by_first]], rank[inverse]
 
-        anchors, query_groups = queries.forward(query_text[batch], params)
-        doc_outs, doc_groups = docs.forward(doc_texts, params)
+        anchors, query_groups = enc.grouped_forward(queries, params, query_text[batch])
+        doc_outs, doc_groups = enc.grouped_forward(docs, params, doc_texts)
         if not (np.isfinite(anchors).all() and np.isfinite(doc_outs).all()):
             raise NumericalError(f"iteration {iteration}: the encoded batch is non-finite")
 

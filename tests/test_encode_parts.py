@@ -38,20 +38,24 @@ def _params(kind, dim, dtype, seed=0):
 
 
 # (kind, k, d'', texts of length k): each group splits into 2-3 parts of
-# unequal sizes. fcrr's GEMM reads one mean row per text, so a split group
-# holds more than ENCODE_CELLS * k input cells; k=40 would need 336 MB.
+# unequal sizes.
 SPLIT_SHAPES = [
     ("convrr", 1, 64, 10487),
     ("convrr", 2, 64, 7000),
     ("convrr", 40, 64, 350),
     ("fcrr", 1, 64, 36045),
-    ("fcrr", 2, 64, 36045),
+    ("fcrr", 2, 64, 36046),
+    ("fcrr", 40, 64, 2000),
 ]
 
 # As above at two workers, where a part reads at most ENCODE_CELLS // 4 cells:
-# the convrr groups split into 7-9 parts of unequal sizes, and fcrr's groups,
-# one text larger than above (36045 texts make five equal parts), into five.
-CONCURRENT_SPLIT_SHAPES = SPLIT_SHAPES[:3] + [("fcrr", 1, 64, 36046), ("fcrr", 2, 64, 36046)]
+# the groups split into 5-10 parts of unequal sizes. fcrr's groups of k=1 and
+# k=40 hold one text more than above, where they would make equal parts.
+CONCURRENT_SPLIT_SHAPES = SPLIT_SHAPES[:3] + [
+    ("fcrr", 1, 64, 36046),
+    ("fcrr", 2, 64, 36046),
+    ("fcrr", 40, 64, 2001),
+]
 
 
 def _check_parts(kind, k, dim, n, dtype, workers, budget, monkeypatch):
@@ -83,10 +87,11 @@ def _check_parts(kind, k, dim, n, dtype, workers, budget, monkeypatch):
     assert got.tobytes() == expected.tobytes()
     parts.remove(7)  # the group that fits
     assert sum(parts) == n and len(parts) >= 2 and len(set(parts)) == 2
-    fit = budget // params.text_cells(k)
+    cells = encoder._text_cells(texts, params, k)
+    fit = budget // cells
     for texts_in_part in parts:
         assert math.ceil(fit / 2) <= texts_in_part <= fit
-        assert budget / 2 <= texts_in_part * params.text_cells(k) <= budget
+        assert budget / 2 <= texts_in_part * cells <= budget
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -146,7 +151,7 @@ def test_split_rule(lengths, max_cells):
         group = [i for i, length in enumerate(lengths) if length == k]
         mine = [part for part in parts if lengths[part[0]] == k]
         assert [i for part in mine for i in part] == group  # input order within the group
-        fit = max(1, max_cells // params.text_cells(k))
+        fit = max(1, max_cells // encoder._text_cells(texts, params, k))
         sizes = [len(part) for part in mine]
         assert max(sizes) - min(sizes) <= 1
         assert max(sizes) <= fit
@@ -180,10 +185,15 @@ def test_encode_memory_is_bounded(n):
     _check_encode_memory(texts, params)
 
 
-@pytest.mark.parametrize("n", [250, 2000])
-def test_encode_memory_is_bounded_for_token_texts(n):
-    """As above, with the texts given as rows of one table."""
-    params = _params("convrr", 64, np.float32)
+@pytest.mark.parametrize("kind, n", [("convrr", 250), ("convrr", 2000), ("fcrr", 8000)])
+def test_encode_memory_is_bounded_for_token_texts(kind, n):
+    """As above, with the texts given as rows of one table.
+
+    fcrr's dense GEMM reads one mean row per text, but each part gathers
+    its (texts, 40, 64) block first: one part of all 8000 texts would hold
+    almost 10 times ENCODE_CELLS cells.
+    """
+    params = _params(kind, 64, np.float32)
     table = np.random.default_rng(n).normal(size=(n * 40, 64)).astype(np.float32)
     rows = np.arange(len(table))
     texts = TokenTexts(table, [rows[i * 40:(i + 1) * 40] for i in range(n)])

@@ -213,7 +213,7 @@ class TestGroupedEncode:
         upstream = rng.normal(size=(len(texts), 4))
         out, groups = grouped_forward(texts, params)
         assert np.array_equal(out, encode_texts(texts, params))
-        assert [idxs for idxs, _ in groups] == [[0, 2], [1, 4], [3]]
+        assert [idxs.tolist() for idxs, _ in groups] == [[0, 2], [1, 4], [3]]
         grads = grouped_backward(params, groups, upstream)
         per_text = [convrr_backward(x, params, g)[0] for x, g in zip(texts, upstream)]
         for got, parts in zip(grads, zip(*per_text)):
@@ -281,6 +281,38 @@ class TestTokenTexts:
         with pytest.raises(DegenerateVectorError, match="^query 'c': vector norm 0 ") as err:
             encode_texts(named, params)
         assert err.value.position == 2
+
+    @pytest.mark.parametrize("kind", ["convrr", "fcrr"])
+    def test_grouped_forward_at_positions_equals_it_on_the_texts_taken(self, rng, kind):
+        params, _ = _encoder(kind, 4, rng, np.float32)
+        named = [(f"t{i}", rng.normal(size=(k, 4))) for i, k in enumerate((3, 1, 2, 3, 1, 2, 4))]
+        texts = as_token_texts(named, "document", np.float32)
+        positions = np.array([5, 0, 6, 2, 3, 1], dtype=np.intp)
+        got, got_groups = grouped_forward(texts, params, positions)
+        want, want_groups = grouped_forward(take(texts, positions), params)
+        assert got.tobytes() == want.tobytes()
+        assert all(idxs.dtype == np.intp for idxs, _ in got_groups)
+        assert [idxs.tolist() for idxs, _ in got_groups] == [idxs.tolist() for idxs, _ in want_groups]
+        assert [cache_bytes(c) for _, c in got_groups] == [cache_bytes(c) for _, c in want_groups]
+
+    @pytest.mark.parametrize("kind", ["convrr", "fcrr"])
+    def test_a_zero_norm_text_at_positions_is_named_by_its_batch_position(self, rng, kind):
+        params = zero_convrr_params(4, depth=1) if kind == "convrr" else init_fcrr_params(4, rng=rng)
+        if kind == "fcrr":
+            params.weight[:] = 0.0
+        named = [("a", rng.normal(size=(2, 4))), ("b", np.zeros((2, 4))), ("c", rng.normal(size=(1, 4)))]
+        texts = as_token_texts(named, "query")
+        with pytest.raises(DegenerateVectorError, match="^query 'b': vector norm 0 ") as err:
+            grouped_forward(texts, params, np.array([2, 0, 1], dtype=np.intp))
+        assert err.value.position == 2  # text 1 sits at batch position 2
+
+
+def cache_bytes(cache):
+    """Each entry of a forward cache as the bytes of its arrays."""
+    return {
+        key: [np.asarray(a).tobytes() for a in (value if isinstance(value, list) else [value])]
+        for key, value in cache.items()
+    }
 
 
 class TestSkippedInputGradient:
@@ -665,6 +697,23 @@ class TestTrainMatchesTheReferenceLoop:
         assert got.loss_trace == trace
         assert got.active_fractions == fractions
         assert serialize_params(got.params, kind) == serialize_params(params, kind)
+
+    @pytest.mark.parametrize("kind", ["convrr", "fcrr"])
+    def test_each_length_group_is_one_call_of_the_module_forward(self, kind, monkeypatch):
+        """perfbench's ``encoder.forward`` spans wrap ``encoder.forward_many`` and count its calls."""
+        pairs, queries, docs = two_length_pairs()
+        shapes = []
+        forward_many = encoder.forward_many
+
+        def recording(xs, params):
+            shapes.append(xs.shape[:2])
+            return forward_many(xs, params)
+
+        monkeypatch.setattr(encoder, "forward_many", recording)
+        train(pairs, queries, docs, kind, TrainConfig(iterations=1, batch_size=len(pairs)))
+        # the batch holds every pair: 6 queries of 1 position and 6 of 3, then
+        # its 8 distinct positives, 4 of 2 positions and 4 of 4
+        assert shapes == [(6, 1), (6, 3), (4, 2), (4, 4)]
 
 
 class TestMeanEmbeddingBaseline:

@@ -11,6 +11,8 @@ computes, in a fresh process per tree at one BLAS thread:
   both trees: the checkpoint and loss CSV of CLI ``train``, the report of
   CLI ``eval`` and the index file of CLI ``index`` (over the trained
   checkpoint);
+- the same four CLI files with ``encoder=fcrr`` (``fcrr/...``), since no
+  other artifact runs the fully-connected encoder;
 - ``served``: every query of that input set's QA pairs served alone over
   that index, as ``multires search`` serves it (``compose_text``, then
   ``encode_texts`` of the one matrix, then ``search`` for the top
@@ -43,7 +45,12 @@ OUTPUTS = {  # run config key: the file the CLI writes there
     "report": "report.json",
     "index": "index.mre",
 }
-ARTIFACTS = ["clustered_benchmark.json", *OUTPUTS.values(), "served"]
+ARTIFACTS = [
+    "clustered_benchmark.json",
+    *OUTPUTS.values(),
+    *(f"fcrr/{name}" for name in OUTPUTS.values()),
+    "served",
+]
 INPUT_SEED = 1
 SERVE_K = 10
 
@@ -80,12 +87,33 @@ def served(config_path: str):
         yield vec, [(doc_id, repr(dist)) for doc_id, dist in search(index, vec, SERVE_K)]
 
 
+def cli_digests(config: str, out: str) -> tuple[str, dict[str, str]]:
+    """Run CLI ``train``, ``eval`` and ``index`` on ``config`` with every output under ``out``.
+
+    Returns the config file written there and the digest of each output.
+    """
+    from multires import cli
+
+    os.makedirs(out, exist_ok=True)
+    config += "".join(f"{key}={os.path.join(out, name)}\n" for key, name in OUTPUTS.items())
+    config_path = os.path.join(out, "run.cfg")
+    with open(config_path, "w", encoding="utf-8") as fh:
+        fh.write(config)
+    for command in ("train", "eval", "index"):
+        if cli.main([command, "--config", config_path]) != 0:
+            raise SystemExit(f"artifact_digests: CLI {command} failed")
+    digests = {}
+    for name in OUTPUTS.values():
+        with open(os.path.join(out, name), "rb") as fh:
+            digests[name] = _sha256(fh.read())
+    return config_path, digests
+
+
 def tree_digests(inputs: str, out: str) -> dict[str, str]:
     """The digest of each artifact of the ``multires`` package on ``sys.path``.
 
     Runs inside the child process; writes the CLI outputs under ``out``.
     """
-    from multires import cli
     from multires.synthetic import run_clustered_benchmark
 
     digests = {
@@ -95,16 +123,10 @@ def tree_digests(inputs: str, out: str) -> dict[str, str]:
     }
     with open(os.path.join(inputs, "run.cfg"), encoding="utf-8") as fh:
         config = fh.read()
-    config += "".join(f"{key}={os.path.join(out, name)}\n" for key, name in OUTPUTS.items())
-    config_path = os.path.join(out, "run.cfg")
-    with open(config_path, "w", encoding="utf-8") as fh:
-        fh.write(config)
-    for command in ("train", "eval", "index"):
-        if cli.main([command, "--config", config_path]) != 0:
-            raise SystemExit(f"artifact_digests: CLI {command} failed")
-    for name in OUTPUTS.values():
-        with open(os.path.join(out, name), "rb") as fh:
-            digests[name] = _sha256(fh.read())
+    config_path, outputs = cli_digests(config, out)
+    digests.update(outputs)
+    _, outputs = cli_digests(config + "encoder=fcrr\n", os.path.join(out, "fcrr"))
+    digests.update({f"fcrr/{name}": digest for name, digest in outputs.items()})
     digest = hashlib.sha256()
     for vec, hits in served(config_path):
         digest.update(vec.tobytes())
