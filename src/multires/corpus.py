@@ -58,7 +58,8 @@ def build_idf(corpus: list[Document]) -> IdfTable:
     for doc in corpus:
         for token in set(tokenize(doc.text)):
             df[token] = df.get(token, 0) + 1
-    entries = {tok: (count, math.log(n / count)) for tok, count in df.items()}
+    idf = {count: math.log(n / count) for count in set(df.values())}  # one log per distinct df
+    entries = {tok: (count, idf[count]) for tok, count in df.items()}
     return IdfTable(num_documents=n, entries=entries)
 
 

@@ -48,6 +48,8 @@ product took as long as the whole one.
 
 ``run_concurrently`` runs whole tasks the same way, one per worker, each
 as a chunk of one split: ``encode_texts`` runs its parts' forwards on it.
+``multires.fileio.crc32`` runs the slices of a large checksum through
+``_run`` too, one per usable core, since ``zlib.crc32`` releases the GIL.
 A split never nests: while a thread runs a chunk (a thread-local flag
 that ``_run`` sets and resets in a ``finally``), every gemm it asks for
 runs inline, as one chunk.
@@ -177,8 +179,13 @@ if hasattr(os, "register_at_fork"):
 def _chunks(units: int, rows: int, macs: int) -> list[tuple[int, int]]:
     """Near-equal [lo, hi) ranges of ``units`` for a gemm of ``rows`` rows and ``macs`` work."""
     n = min(units, macs // CHUNK_MACS, rows // CHUNK_ROWS)
-    n = min(n, split_workers()) if n > 1 and not getattr(_split, "inside", False) else 1
+    n = min(n, split_workers()) if n > 1 and not inside_split() else 1
     return [(i * units // n, (i + 1) * units // n) for i in range(n)]
+
+
+def inside_split() -> bool:
+    """Whether this thread runs a chunk of a split, where every further split runs inline."""
+    return getattr(_split, "inside", False)
 
 
 def _get_pool() -> ThreadPoolExecutor:
@@ -218,7 +225,7 @@ def _run(chunk: Callable[[int, int], None], bounds: list[tuple[int, int]]) -> No
 
 def _in_split(chunk: Callable[[int, int], None], lo: int, hi: int) -> None:
     """Run one chunk of a split with this thread marked as inside it."""
-    outer = getattr(_split, "inside", False)
+    outer = inside_split()
     _split.inside = True
     try:
         chunk(lo, hi)

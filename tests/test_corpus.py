@@ -57,6 +57,18 @@ class TestBuildIdf:
         table = build_idf([Document("1", "echo echo echo"), Document("2", "other")])
         assert table.entries["echo"][0] == 1
 
+    def test_entries_match_one_log_per_token(self):
+        """One log per distinct df gives each token's own log's entries, order and bits."""
+        texts = ["a b a c", "b c d", "a e e", "b", "c a", "f g f", "d e", "b c a"]
+        docs = [Document(str(i), t) for i, t in enumerate(texts)]
+        n, df = len(docs), {}
+        for doc in docs:
+            for token in set(tokenize(doc.text)):
+                df[token] = df.get(token, 0) + 1
+        expected = [(tok, count, math.log(n / count).hex()) for tok, count in df.items()]
+        got = [(tok, count, idf.hex()) for tok, (count, idf) in build_idf(docs).entries.items()]
+        assert got == expected and len(set(df.values())) < len(df)
+
     @given(st.lists(st.text(alphabet="abc ", min_size=1, max_size=12), min_size=1, max_size=8))
     def test_permutation_invariant(self, texts):
         docs = [Document(str(i), t) for i, t in enumerate(texts)]

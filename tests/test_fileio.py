@@ -1,14 +1,20 @@
 """The frame every binary file shares: checksums, crafted headers, one version per format."""
 
+import os
+import re
 import struct
+import subprocess
+import sys
+import threading
 import tracemalloc
 import zlib
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from multires import fileio
 from multires.cli import main
 from multires.corpus import Document, build_idf
 from multires.embedding.compose import compose_text
@@ -23,6 +29,7 @@ from multires.embedding.stores import (
 )
 from multires.errors import FormatError
 from multires.model import init_convrr_params, read_checkpoint, write_checkpoint
+from multires.numerics import kernels
 
 DATA = Path(__file__).parent / "data"
 
@@ -374,3 +381,110 @@ class TestReadOnlyBodies:
         params, _ = read_checkpoint(str(path))
         for tensor in params.tensors():
             tensor[...] = 0.0
+
+
+class TestSplitChecksum:
+    """``fileio.crc32`` cuts a large view into slices, one per core, and combines their CRCs."""
+
+    SPLIT, SLICE, CORES = 64, 16, 3
+
+    @pytest.fixture
+    def slices(self, monkeypatch):
+        """Small split and slice sizes; records how many slices each split ran in."""
+        monkeypatch.setattr(fileio, "SPLIT_BYTES", self.SPLIT)
+        monkeypatch.setattr(fileio, "SLICE_BYTES", self.SLICE)
+        monkeypatch.setattr(kernels, "usable_cores", lambda: self.CORES)
+        counts = []
+        run = kernels._run
+
+        def recording(chunk, bounds):
+            counts.append(len(bounds))
+            run(chunk, bounds)
+
+        monkeypatch.setattr(kernels, "_run", recording)
+        return counts
+
+    @given(st.binary(max_size=300), st.binary(max_size=300))
+    @example(b"", b"")
+    @example(b"ab", b"")
+    @example(b"", b"ab")
+    def test_combine_gives_the_crc_of_the_concatenation(self, a, b):
+        assert fileio.crc32_combine(zlib.crc32(a), zlib.crc32(b), len(b)) == zlib.crc32(a + b)
+
+    def test_crc_equals_zlib_below_at_and_above_the_split(self, slices):
+        blob = np.random.default_rng(5).bytes(self.SPLIT + self.CORES * self.SLICE + 2)
+        sizes = range(self.SPLIT - 2, len(blob) + 1)
+        for size in sizes:
+            for crc in (0, 0x9E3779B9):
+                assert fileio.crc32(blob[:size], crc) == zlib.crc32(blob[:size], crc), (size, crc)
+        expected = [min(self.CORES, size // self.SLICE) for size in sizes if size >= self.SPLIT]
+        assert slices == [n for n in expected for _ in range(2)]
+
+    def test_a_byte_flipped_anywhere_changes_the_crc_as_zlib_does(self, slices):
+        blob = bytearray(np.random.default_rng(6).bytes(self.SPLIT + 5))
+        for at in range(len(blob)):  # every byte of every slice, each side of each boundary
+            blob[at] ^= 0x40
+            assert fileio.crc32(blob) == zlib.crc32(blob), at
+            blob[at] ^= 0x40
+        assert slices == [self.CORES] * len(blob)
+
+    def test_a_multibyte_item_view_is_checksummed_by_its_bytes(self, slices):
+        rows = np.arange(40, dtype="<f4").reshape(4, 10)
+        assert fileio.crc32(memoryview(rows.reshape(-1))) == zlib.crc32(rows.tobytes())
+        assert slices == [self.CORES]
+
+    @pytest.mark.parametrize("where", ["first", "last"])
+    def test_a_flipped_byte_in_a_split_frame_is_rejected(self, slices, where, tmp_path):
+        path = tmp_path / "t.mrt"
+        layers = np.random.default_rng(7).normal(size=(8, 2, 4)).astype(np.float32)
+        write_contextual_store(str(path), ContextualStore("c", 4, layers))
+        blob = bytearray(path.read_bytes())
+        assert _read_mrt(path).layers.tobytes() == layers.tobytes()
+        blob[10 if where == "first" else len(blob) - 10] ^= 1  # a body byte of that slice
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: bad checksum"):
+            _read_mrt(path)
+        assert slices == [self.CORES] * 3  # written, read, read again
+
+    def test_concurrent_callers_each_get_their_own_crc(self, slices):
+        blobs = [np.random.default_rng(20 + i).bytes(self.SPLIT + 7 * i) for i in range(6)]
+        found = [None] * len(blobs)
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=lambda i=i: found.__setitem__(i, fileio.crc32(blobs[i])))
+                for i in range(len(blobs))
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(t.is_alive() for t in threads)
+        assert found == [zlib.crc32(b) for b in blobs] and slices == [self.CORES] * len(blobs)
+
+    def test_a_checksum_inside_a_pool_chunk_runs_inline(self, slices):
+        blob = np.random.default_rng(8).bytes(self.SPLIT)
+        found = []
+        kernels.run_concurrently(lambda: found.append(fileio.crc32(blob)), 2)
+        assert found == [zlib.crc32(blob)] * 2 and slices == [2]
+
+
+def test_reading_a_small_frame_starts_no_pool(tmp_path):
+    src = os.path.dirname(os.path.dirname(fileio.__file__))  # the directory holding multires
+    script = (
+        "import sys, numpy as np\n"
+        "from multires.embedding.stores import ContextualStore, read_contextual_store,"
+        " write_contextual_store\n"
+        "from multires.numerics import kernels\n"
+        "write_contextual_store(sys.argv[1], ContextualStore('c', 4, np.ones((2, 1, 2), np.float32)))\n"
+        "read_contextual_store(sys.argv[1], 'c')\n"
+        "print(kernels._pool is None)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "t.mrt")],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert out.stdout.strip() == "True"
