@@ -1,14 +1,12 @@
 """Multi-resolution word-embedding composition and residual retrieval encoders."""
 
-from multires.corpus import Document, IdfTable, QaPair, build_idf, lookup_idf, tokenize
+from multires.corpus import Document, IdfTable, QaPair, build_idf, tokenize
 from multires.embedding import (
     EnsembleSpec,
     LayeredTokenEmbedding,
     MixtureSpec,
     compose_text,
     compose_token,
-    ensemble,
-    mix_layers,
 )
 from multires.model import (
     ConvRRParams,
@@ -16,7 +14,6 @@ from multires.model import (
     LossConfig,
     TrainConfig,
     convrr_forward,
-    fcrr_forward,
     mine_hard,
     train,
     triplet_loss,
@@ -30,21 +27,17 @@ __all__ = [
     "IdfTable",
     "QaPair",
     "build_idf",
-    "lookup_idf",
     "tokenize",
     "EnsembleSpec",
     "LayeredTokenEmbedding",
     "MixtureSpec",
     "compose_text",
     "compose_token",
-    "ensemble",
-    "mix_layers",
     "ConvRRParams",
     "FCRRParams",
     "LossConfig",
     "TrainConfig",
     "convrr_forward",
-    "fcrr_forward",
     "mine_hard",
     "train",
     "triplet_loss",

@@ -14,7 +14,7 @@ a mapped file is never truncated or rewritten under a reader.
 Both ``frame`` and ``read_frame`` checksum through ``crc32``, so the
 writer and the reader share one checksum path. A view of 16 MiB
 (``SPLIT_BYTES``) or more is checksummed in slices, one per usable core
-and each of at least 8 MiB (``SLICE_BYTES``), at once on the kernels'
+and each of at least 8 MiB (``SLICE_BYTES``), at once on parallel's
 pool (``zlib.crc32`` releases the GIL), and the slice CRCs are folded in
 order by ``crc32_combine``, zlib's exact combine. The CRC, and so every
 file's bytes, is the one ``zlib.crc32`` gives over the whole view, and
@@ -34,15 +34,15 @@ import struct
 import zlib
 from contextlib import contextmanager
 
+from multires import parallel
 from multires.errors import FormatError, ParseError
-from multires.numerics import kernels
 
 _HEAD = struct.Struct("<4sH")
 _CRC = struct.Struct("<I")
 
 # A view of SPLIT_BYTES or more is checksummed in slices of at least
 # SLICE_BYTES. At about 4 GB/s a slice then takes 2 ms or more, some 40
-# times what an empty two-chunk ``kernels._run`` costs.
+# times what an empty two-item run on parallel's pool costs.
 SPLIT_BYTES = 16 << 20
 SLICE_BYTES = 8 << 20
 
@@ -86,23 +86,23 @@ def crc32(view, crc: int = 0) -> int:
 
     A large view is cut, with no copy, into near-equal slices of at least
     ``SLICE_BYTES``, at most one per usable core; this thread runs the
-    first slice and the kernels' pool the others. The split never nests:
-    inside a chunk of a split (``kernels.inside_split``) the view is
-    checksummed in one call.
+    first slice and parallel's pool the others. The split never nests:
+    inside a run (``parallel.inside_split``) the view is checksummed in
+    one call.
     """
     data = memoryview(view)
     size = data.nbytes
-    n = min(kernels.usable_cores(), size // SLICE_BYTES) if size >= SPLIT_BYTES else 1
-    if n < 2 or kernels.inside_split():
+    n = min(parallel.usable_cores(), size // SLICE_BYTES) if size >= SPLIT_BYTES else 1
+    if n < 2 or parallel.inside_split():
         return zlib.crc32(data, crc)
     data = data.cast("B")
     cuts = [i * size // n for i in range(n + 1)]
     crcs = [crc] + [0] * (n - 1)
 
-    def one(i: int, _: int) -> None:
+    def one_slice(i: int) -> None:
         crcs[i] = zlib.crc32(data[cuts[i] : cuts[i + 1]], crcs[i])
 
-    kernels._run(one, [(i, i + 1) for i in range(n)])
+    parallel.run(one_slice, range(n))
     crc = crcs[0]
     for i in range(1, n):
         crc = crc32_combine(crc, crcs[i], cuts[i + 1] - cuts[i])

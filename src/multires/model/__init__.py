@@ -3,11 +3,8 @@ from multires.model.encoder import (
     ConvBlock,
     ConvRRParams,
     FCRRParams,
-    convrr_backward,
     convrr_forward,
     encode_texts,
-    fcrr_backward,
-    fcrr_forward,
     init_convrr_params,
     init_fcrr_params,
     mean_embedding_encode,
@@ -23,11 +20,8 @@ __all__ = [
     "ConvBlock",
     "ConvRRParams",
     "FCRRParams",
-    "convrr_backward",
     "convrr_forward",
     "encode_texts",
-    "fcrr_backward",
-    "fcrr_forward",
     "init_convrr_params",
     "init_fcrr_params",
     "mean_embedding_encode",

@@ -13,12 +13,12 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import threading
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
 import numpy as np
 
+from multires import parallel
 from multires.errors import (
     ConfigError,
     DegenerateVectorError,
@@ -251,15 +251,6 @@ def convrr_forward(x: np.ndarray, params: ConvRRParams) -> np.ndarray:
     return out[0]
 
 
-def convrr_backward(
-    x: np.ndarray, params: ConvRRParams, upstream: np.ndarray
-) -> tuple[list[np.ndarray], np.ndarray]:
-    """Recompute the forward and return ([gk1, gb1, gk2, gb2, ...], grad_x)."""
-    _, cache = convrr_forward_many(x[None], params)
-    grads, gx = convrr_backward_many(params, cache, upstream[None])
-    return grads, gx[0]
-
-
 # --- fully-connected encoder ---
 
 
@@ -284,19 +275,6 @@ def fcrr_backward_many(
         return [gw, gb], None
     gv = gz @ params.weight + g_raw
     return [gw, gb], mean_over_positions_backward(gv, cache["k"])
-
-
-def fcrr_forward(x: np.ndarray, params: FCRRParams) -> np.ndarray:
-    out, _ = fcrr_forward_many(x[None], params)
-    return out[0]
-
-
-def fcrr_backward(
-    x: np.ndarray, params: FCRRParams, upstream: np.ndarray
-) -> tuple[list[np.ndarray], np.ndarray]:
-    _, cache = fcrr_forward_many(x[None], params)
-    grads, gx = fcrr_backward_many(params, cache, upstream[None])
-    return grads, gx[0]
 
 
 # --- generic helpers over either encoder ---
@@ -334,6 +312,7 @@ class TokenTexts:
     The ids are packed once, on construction: text i's ids are
     ``flat[starts[i]:starts[i] + lengths[i]]``, so any block of texts of
     one length is gathered with one fancy index and no Python step per text.
+    ``ids`` then holds views of ``flat``, so the ids are held once.
     """
 
     table: np.ndarray  # (V, d'')
@@ -348,8 +327,12 @@ class TokenTexts:
         if len(self.names) not in (0, len(self.ids)):
             raise ShapeError(f"{len(self.names)} names for {len(self.ids)} texts")
         lengths = np.fromiter(map(len, self.ids), np.intp, len(self.ids))
-        object.__setattr__(self, "flat", np.concatenate([np.empty(0, np.intp), *self.ids]))
-        object.__setattr__(self, "starts", np.cumsum(lengths) - lengths)
+        flat = np.concatenate([np.empty(0, np.intp), *self.ids])
+        starts = np.cumsum(lengths) - lengths
+        ids = [flat[a:a + k] for a, k in zip(starts.tolist(), lengths.tolist())]
+        object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "flat", flat)
+        object.__setattr__(self, "starts", starts)
         object.__setattr__(self, "lengths", lengths)
 
     def __len__(self) -> int:
@@ -365,11 +348,13 @@ def as_token_texts(texts, kind: str, dtype=None) -> TokenTexts:
     ``texts`` are TokenTexts with names, an {id: (k_i, d'') matrix} mapping
     or (id, matrix) pairs. Matrices are copied, in order, into one table
     (text i's ids are the rows its matrix occupies), which keeps their
-    dtype unless ``dtype`` is given; a table already in ``dtype`` is kept.
+    dtype unless ``dtype`` is given; a table already in ``dtype`` is kept,
+    and TokenTexts whose table and kind are kept are returned as they are.
     """
     if isinstance(texts, TokenTexts):
         table = texts.table if dtype is None else texts.table.astype(dtype, copy=False)
-        texts = replace(texts, table=table, kind=kind)
+        if table is not texts.table or kind != texts.kind:
+            texts = replace(texts, table=table, kind=kind)
     else:
         pairs = list(texts.items() if isinstance(texts, Mapping) else texts)
         names = tuple(name for name, _ in pairs)
@@ -584,19 +569,19 @@ def encode_texts(texts, params) -> np.ndarray:
     length group runs in parts (``_parts``), and each part's cache is
     dropped as soon as the part is done.
 
-    With ``kernels.split_workers()`` above 1 and two or more parts, the
-    parts run concurrently, one whole forward per worker: this thread and
-    up to ``CONCURRENT_PARTS - 1`` of the kernels' pool threads (one fewer
-    than ``split_workers()`` at most) each take the next part in run order
-    and write its rows into the outputs, and the GEMMs inside a part run
-    inline (splits do not nest). A part then holds at most
+    With ``parallel.split_workers()`` above 1 and two or more parts, the
+    parts run concurrently on ``parallel.run``, one whole forward per
+    worker: this thread and up to ``CONCURRENT_PARTS - 1`` pool threads
+    (one fewer than ``split_workers()`` at most) each take the next part in
+    run order and write its rows into the outputs, and the GEMMs inside a
+    part run inline (runs do not nest). A part then holds at most
     ``ENCODE_CELLS // CONCURRENT_PARTS`` cells in its largest block
     (``_text_cells``), so the parts in flight hold at most ``ENCODE_CELLS``
     together; otherwise, one part after another, a part holds at most
     ``ENCODE_CELLS``. (A text larger than that runs alone.) So the memory
     beyond the inputs and the outputs is bounded whatever the number of
-    texts and whichever the encoder. Since each part's rows equal one forward of its group, the bytes
-    do not depend on the number of workers.
+    texts and whichever the encoder. Since each part's rows equal one
+    forward of its group, the bytes do not depend on the number of workers.
 
     A single text, as a served query, skips the planning: it is one part
     whatever the number of workers, so it runs as one forward on this
@@ -605,44 +590,25 @@ def encode_texts(texts, params) -> np.ndarray:
 
     A text that encodes to a zero-norm vector raises ``DegenerateVectorError``
     naming it (see ``_forward_part``). When several parts fail, the error of
-    the first in run order is raised, as a serial run would.
+    the first in run order is raised, as a serial run would; at several
+    workers, every part runs first.
     """
     if len(texts) == 1:  # one text, as a served query: one part, whatever the workers
         k = len(texts.ids[0] if isinstance(texts, TokenTexts) else texts[0])
         return _forward_part(texts, params, k, [0])[0]
-    workers = kernels.split_workers()
+    workers = parallel.split_workers()
     parts = _parts(texts, params, _part_cells(workers))
     if not parts:
         return np.zeros((0, params.dim if params is not None else 0), dtype=np.float32)
     if len(parts) == 1:  # one group in one part: its rows are in input order
         return _forward_part(texts, params, *parts[0])[0]
     outputs = _outputs(texts, params, parts)
-    pending = iter(enumerate(parts))
-    failures: dict[int, BaseException] = {}
-    lock = threading.Lock()
 
-    def worker() -> None:
-        while True:
-            with lock:  # no new part once one has failed
-                item = None if failures else next(pending, None)
-            if item is None:
-                return
-            i, (k, part) = item
-            try:
-                out, _ = _forward_part(texts, params, k, part)
-                outputs[part] = out
-            except BaseException as exc:  # re-raised below, once every worker is done
-                with lock:
-                    failures[i] = exc
-                return
+    def one_part(part: tuple[int, np.ndarray]) -> None:
+        k, rows = part
+        outputs[rows] = _forward_part(texts, params, k, rows)[0]
 
-    if workers > 1:
-        kernels.run_concurrently(worker, min(workers, CONCURRENT_PARTS, len(parts)))
-    else:
-        worker()
-    if failures:
-        # Parts are taken in run order, so every part before a failed one ran.
-        raise failures[min(failures)]
+    parallel.run(one_part, parts, min(workers, CONCURRENT_PARTS))
     return outputs
 
 

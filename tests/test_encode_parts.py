@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from multires import parallel
 from multires.model import encoder
 from multires.model.encoder import (
     ENCODE_CELLS,
@@ -27,7 +28,6 @@ from multires.model.encoder import (
     init_fcrr_params,
     mean_embedding_encode,
 )
-from multires.numerics import kernels
 
 
 def _params(kind, dim, dtype, seed=0):
@@ -60,7 +60,7 @@ CONCURRENT_SPLIT_SHAPES = SPLIT_SHAPES[:3] + [
 
 def _check_parts(kind, k, dim, n, dtype, workers, budget, monkeypatch):
     """encode_texts at ``workers`` workers: parts within ``budget`` that equal one forward."""
-    monkeypatch.setattr(kernels, "split_workers", lambda: workers)
+    monkeypatch.setattr(parallel, "split_workers", lambda: workers)
     params = _params(kind, dim, dtype)
     rng = np.random.default_rng(n + k)
     texts = list(rng.normal(size=(n, k, dim)).astype(dtype))
@@ -123,7 +123,7 @@ OUTPUT_DTYPES = [
 def test_outputs_take_the_dtype_of_the_first_parts_forward(
     short, long, tensors, kind, workers, monkeypatch
 ):
-    monkeypatch.setattr(kernels, "split_workers", lambda: workers)
+    monkeypatch.setattr(parallel, "split_workers", lambda: workers)
     rng = np.random.default_rng(3)
     texts = [rng.integers(1, 4, size=(2, 8)).astype(short) for _ in range(3)]
     texts += [rng.integers(1, 4, size=(5, 8)).astype(long) for _ in range(3)]

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from multires import fileio
+from multires import fileio, parallel
 from multires.cli import main
 from multires.corpus import Document, build_idf
 from multires.embedding.compose import compose_text
@@ -29,7 +29,6 @@ from multires.embedding.stores import (
 )
 from multires.errors import FormatError
 from multires.model import init_convrr_params, read_checkpoint, write_checkpoint
-from multires.numerics import kernels
 
 DATA = Path(__file__).parent / "data"
 
@@ -393,15 +392,15 @@ class TestSplitChecksum:
         """Small split and slice sizes; records how many slices each split ran in."""
         monkeypatch.setattr(fileio, "SPLIT_BYTES", self.SPLIT)
         monkeypatch.setattr(fileio, "SLICE_BYTES", self.SLICE)
-        monkeypatch.setattr(kernels, "usable_cores", lambda: self.CORES)
+        monkeypatch.setattr(parallel, "usable_cores", lambda: self.CORES)
         counts = []
-        run = kernels._run
+        run = parallel.run
 
-        def recording(chunk, bounds):
-            counts.append(len(bounds))
-            run(chunk, bounds)
+        def recording(task, items, workers=None):
+            counts.append(len(items))
+            run(task, items, workers)
 
-        monkeypatch.setattr(kernels, "_run", recording)
+        monkeypatch.setattr(parallel, "run", recording)
         return counts
 
     @given(st.binary(max_size=300), st.binary(max_size=300))
@@ -468,7 +467,7 @@ class TestSplitChecksum:
     def test_a_checksum_inside_a_pool_chunk_runs_inline(self, slices):
         blob = np.random.default_rng(8).bytes(self.SPLIT)
         found = []
-        kernels.run_concurrently(lambda: found.append(fileio.crc32(blob)), 2)
+        parallel.run(lambda _: found.append(fileio.crc32(blob)), range(2))
         assert found == [zlib.crc32(blob)] * 2 and slices == [2]
 
 
@@ -478,10 +477,10 @@ def test_reading_a_small_frame_starts_no_pool(tmp_path):
         "import sys, numpy as np\n"
         "from multires.embedding.stores import ContextualStore, read_contextual_store,"
         " write_contextual_store\n"
-        "from multires.numerics import kernels\n"
+        "from multires import parallel\n"
         "write_contextual_store(sys.argv[1], ContextualStore('c', 4, np.ones((2, 1, 2), np.float32)))\n"
         "read_contextual_store(sys.argv[1], 'c')\n"
-        "print(kernels._pool is None)\n"
+        "print(parallel._pool is None)\n"
     )
     out = subprocess.run(
         [sys.executable, "-c", script, str(tmp_path / "t.mrt")],

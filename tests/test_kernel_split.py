@@ -14,11 +14,11 @@ import os
 import subprocess
 import sys
 import threading
-import time
 
 import numpy as np
 import pytest
 
+from multires import parallel
 from multires.corpus import QaPair
 from multires.errors import DegenerateVectorError
 from multires.model import encoder
@@ -31,21 +31,26 @@ from test_encode_parts import _check_encode_memory
 
 @pytest.fixture
 def chunk_counts(monkeypatch):
-    """The number of chunks of every GEMM phase the kernels run, in call order."""
+    """The chunk count of every GEMM phase and the worker count of every concurrent run of parts.
+
+    encode_texts' parts at one worker run inline, as a plain loop would, and
+    are not recorded.
+    """
     counts = []
-    run = kernels._run
+    run = parallel.run
 
-    def recording(chunk, bounds):
-        counts.append(len(bounds))
-        return run(chunk, bounds)
+    def recording(task, items, workers=None):
+        if workers != 1:
+            counts.append(len(items) if workers is None else min(workers, len(items)))
+        return run(task, items, workers)
 
-    monkeypatch.setattr(kernels, "_run", recording)
+    monkeypatch.setattr(parallel, "run", recording)
     return counts
 
 
 def _cores(monkeypatch, n, blas_threads=1):
-    monkeypatch.setattr(kernels, "usable_cores", lambda: n)
-    monkeypatch.setattr(kernels, "blas_threads", lambda: blas_threads)
+    monkeypatch.setattr(parallel, "usable_cores", lambda: n)
+    monkeypatch.setattr(parallel, "blas_threads", lambda: blas_threads)
 
 
 def _case(batch, k, d, n_k, ws, dtype):
@@ -102,12 +107,12 @@ def test_a_gemm_just_below_the_threshold_starts_no_thread(monkeypatch, chunk_cou
     x, w, b, g = _case(batch=43, k=127, d=64, n_k=64, ws=3, dtype=np.float32)
     assert 2 * kernels.CHUNK_MACS - 43 * 127 * 3 * 64 * 64 == 4096
     _cores(monkeypatch, 2)
-    monkeypatch.setattr(kernels, "_pool", None)
+    monkeypatch.setattr(parallel, "_pool", None)
     threads = threading.active_count()
     kernels.conv_forward(x, w, b)
     kernels.conv_backward(x, w, g)
     assert chunk_counts == [1, 1, 1]
-    assert kernels._pool is None and threading.active_count() == threads
+    assert parallel._pool is None and threading.active_count() == threads
 
 
 def test_a_trimmed_backward_under_two_chunks_runs_inline(monkeypatch, chunk_counts):
@@ -119,10 +124,10 @@ def test_a_trimmed_backward_under_two_chunks_runs_inline(monkeypatch, chunk_coun
     _cores(monkeypatch, 1)
     want = kernels.conv_backward(x, w, g)
     _cores(monkeypatch, 2)
-    monkeypatch.setattr(kernels, "_pool", None)
+    monkeypatch.setattr(parallel, "_pool", None)
     for part, ref in zip(kernels.conv_backward(x, w, g), want):
         assert part.tobytes() == ref.tobytes()
-    assert chunk_counts == [1, 1, 1, 1] and kernels._pool is None
+    assert chunk_counts == [1, 1, 1, 1] and parallel._pool is None
 
 
 # Texts shorter than the window whose trimmed products still do three chunks' work:
@@ -145,9 +150,9 @@ def test_trimmed_backward_bytes_do_not_depend_on_the_core_count(
 def test_one_usable_core_runs_inline(monkeypatch, chunk_counts):
     x, w, b, _ = _case(ws=5, dtype=np.float32, **SPLIT)
     _cores(monkeypatch, 1)
-    monkeypatch.setattr(kernels, "_pool", None)
+    monkeypatch.setattr(parallel, "_pool", None)
     kernels.conv_forward(x, w, b)
-    assert chunk_counts == [1] and kernels._pool is None
+    assert chunk_counts == [1] and parallel._pool is None
 
 
 @pytest.mark.parametrize(
@@ -156,88 +161,29 @@ def test_one_usable_core_runs_inline(monkeypatch, chunk_counts):
 )
 def test_the_split_takes_the_cores_the_blas_threads_leave(cores, blas_threads, workers, monkeypatch):
     _cores(monkeypatch, cores, blas_threads)
-    assert kernels.split_workers() == workers
+    assert parallel.split_workers() == workers
 
 
 def test_a_blas_thread_per_core_runs_inline(monkeypatch, chunk_counts):
     x, w, b, g = _case(ws=5, dtype=np.float32, **SPLIT)
     _cores(monkeypatch, 2, blas_threads=2)
-    monkeypatch.setattr(kernels, "_pool", None)
+    monkeypatch.setattr(parallel, "_pool", None)
     kernels.conv_forward(x, w, b)
     kernels.conv_backward(x, w, g)
-    assert chunk_counts == [1, 1, 1] and kernels._pool is None
+    assert chunk_counts == [1, 1, 1] and parallel._pool is None
 
 
-@pytest.mark.skipif(kernels.blas_threads() is None, reason="the BLAS thread count is unreadable")
+@pytest.mark.skipif(parallel.blas_threads() is None, reason="the BLAS thread count is unreadable")
 def test_blas_threads_reads_the_loaded_blas():
-    src = os.path.dirname(os.path.dirname(os.path.dirname(kernels.__file__)))  # multires' root
+    src = os.path.dirname(os.path.dirname(parallel.__file__))  # multires' root
     counts = sorted({1, min(2, len(os.sched_getaffinity(0)))})
     for n in counts:
         env = dict(os.environ, OPENBLAS_NUM_THREADS=str(n), PYTHONPATH=src)
         out = subprocess.run(
-            [sys.executable, "-c", "from multires.numerics import kernels; print(kernels.blas_threads())"],
+            [sys.executable, "-c", "from multires import parallel; print(parallel.blas_threads())"],
             env=env, capture_output=True, text=True, check=True, timeout=60,
         )
         assert out.stdout.strip() == str(n)
-
-
-def test_concurrent_first_calls_start_one_pool(monkeypatch):
-    made = []
-    executor = kernels.ThreadPoolExecutor
-
-    def slow_pool(*args, **kwargs):
-        time.sleep(0.05)  # widen the window between the check and the assignment
-        made.append(executor(*args, **kwargs))
-        return made[-1]
-
-    monkeypatch.setattr(kernels, "_pool", None)
-    monkeypatch.setattr(kernels, "ThreadPoolExecutor", slow_pool)
-    pools = []
-    start = threading.Barrier(4)
-
-    def first_use():
-        start.wait()
-        pools.append(kernels._get_pool())
-
-    callers = [threading.Thread(target=first_use) for _ in range(4)]
-    try:
-        for t in callers:
-            t.start()
-        for t in callers:
-            t.join(10)
-    finally:
-        for pool in made:
-            pool.shutdown()
-    assert len(made) == 1 and len(pools) == 4 and all(pool is made[0] for pool in pools)
-
-
-def test_a_failed_chunk_surfaces_after_every_chunk_has_finished(monkeypatch):
-    _cores(monkeypatch, 3)
-    finished = []
-
-    def chunk(lo, hi):
-        if lo == 0:
-            raise ValueError("first chunk")
-        time.sleep(0.2)
-        finished.append(lo)
-
-    with pytest.raises(ValueError, match="first chunk"):
-        kernels._run(chunk, [(0, 1), (1, 2), (2, 3)])
-    assert sorted(finished) == [1, 2]
-
-
-def test_the_first_failed_chunk_in_range_order_is_raised(monkeypatch):
-    _cores(monkeypatch, 3)
-
-    def chunk(lo, hi):
-        if lo == 1:
-            time.sleep(0.1)
-            raise KeyError("second chunk")
-        if lo == 2:
-            raise ValueError("third chunk")
-
-    with pytest.raises(KeyError, match="second chunk"):
-        kernels._run(chunk, [(0, 1), (1, 2), (2, 3)])
 
 
 def test_concurrent_callers_and_more_chunks_than_cores_keep_the_bytes(monkeypatch):
@@ -267,7 +213,7 @@ def test_concurrent_callers_and_more_chunks_than_cores_keep_the_bytes(monkeypatc
 
 
 def _encode_in_child(conn, x, w, b):
-    conn.send((kernels._pool is None, kernels.conv_forward(x, w, b).tobytes()))
+    conn.send((parallel._pool is None, kernels.conv_forward(x, w, b).tobytes()))
     conn.close()
 
 
@@ -275,7 +221,7 @@ def test_a_forked_child_starts_its_own_pool(monkeypatch):
     x, w, b, _ = _case(ws=5, dtype=np.float32, **SPLIT)
     _cores(monkeypatch, 2)
     want = kernels.conv_forward(x, w, b)
-    assert kernels._pool is not None  # the parent's pool threads are not in the child
+    assert parallel._pool is not None  # the parent's pool threads are not in the child
     ctx = multiprocessing.get_context("fork")
     parent_end, child_end = ctx.Pipe(duplex=False)
     child = ctx.Process(target=_encode_in_child, args=(child_end, x, w, b))
@@ -326,15 +272,21 @@ def test_seeded_training_bytes_do_not_depend_on_the_core_count(monkeypatch, chun
 @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two usable cores")
 def test_a_pool_thread_runs_its_chunk_off_the_calling_threads_core(monkeypatch):
     _cores(monkeypatch, 2)
-    cores = {}
+    second_started = threading.Event()
+    seen = {}
 
-    def chunk(lo, hi):
-        cores[lo] = (threading.get_native_id(), os.sched_getaffinity(0))
+    def chunk(i):
+        seen[i] = (threading.get_native_id(), os.sched_getaffinity(0))
+        if i == 0:  # else this thread could take both trivial chunks
+            seen["overlap"] = second_started.wait(10)
+        else:
+            second_started.set()
 
-    kernels._run(chunk, [(0, 1), (1, 2)])
-    (caller, caller_set), (worker, worker_set) = cores[0], cores[1]
+    parallel.run(chunk, range(2))
+    (caller, caller_set), (worker, worker_set) = seen[0], seen[1]
+    assert seen["overlap"] and caller == threading.get_native_id()
     assert worker != caller and len(worker_set) == 1 and worker_set < caller_set
-    # the binding ends with the chunk: an idle pool thread may run on any usable core
+    # the binding ends with the run: an idle pool thread may run on any usable core
     assert os.sched_getaffinity(worker) == caller_set
 
 
@@ -404,10 +356,10 @@ def test_a_one_text_call_starts_no_pool(monkeypatch, chunk_counts):
     texts = _texts((40,), 1, 288, np.float32, True)
     params = _encoder_params("convrr", 288, np.float32)
     _cores(monkeypatch, 2)
-    monkeypatch.setattr(kernels, "_pool", None)
+    monkeypatch.setattr(parallel, "_pool", None)
     threads = threading.active_count()
     encode_texts(texts, params)
-    assert chunk_counts == [1, 1] and kernels._pool is None and threading.active_count() == threads
+    assert chunk_counts == [1, 1] and parallel._pool is None and threading.active_count() == threads
 
 
 @pytest.mark.parametrize("as_tokens", [True, False])
@@ -469,7 +421,7 @@ def test_a_failed_part_leaves_later_gemms_free_to_split(monkeypatch):
         raise ValueError("part failed")
 
     with pytest.raises(ValueError, match="part failed"):
-        kernels.run_concurrently(task, 2)
+        parallel.run(lambda _: task(), range(2))
     assert inside == [1, 1]  # no split inside a split
     assert len(kernels._chunks(6, 6 * kernels.CHUNK_ROWS, 6 * kernels.CHUNK_MACS)) == 2  # the flag was reset
 

@@ -28,11 +28,12 @@ from multires.model.encoder import (
     TokenTexts,
     as_token_texts,
     backward_many,
-    convrr_backward,
+    convrr_backward_many,
     convrr_forward,
+    convrr_forward_many,
     encode_texts,
-    fcrr_backward,
-    fcrr_forward,
+    fcrr_backward_many,
+    fcrr_forward_many,
     grouped_backward,
     grouped_forward,
     mean_embedding_encode,
@@ -107,37 +108,47 @@ class TestConvRRForward:
 
 
 class TestConvRRBackward:
+    """The batched ops that training runs, on a batch of one text."""
+
     def test_zero_upstream_zero_grads(self, rng):
-        X = rng.normal(size=(3, 4))
+        X = rng.normal(size=(1, 3, 4))
         params = init_convrr_params(4, depth=2, window=3, rng=rng, dtype=np.float64)
-        grads, gx = convrr_backward(X, params, np.zeros(4))
+        _, cache = convrr_forward_many(X, params)
+        grads, gx = convrr_backward_many(params, cache, np.zeros((1, 4)))
         assert all(not g.any() for g in grads)
         assert not gx.any()
 
     def test_scale_zero_kills_parameter_gradients(self, rng):
-        X = rng.normal(size=(3, 4))
+        X = rng.normal(size=(1, 3, 4))
         params = init_convrr_params(4, depth=2, window=3, scale=0.0, rng=rng, dtype=np.float64)
-        grads, _ = convrr_backward(X, params, rng.normal(size=4))
+        _, cache = convrr_forward_many(X, params)
+        grads, _ = convrr_backward_many(params, cache, rng.normal(size=(1, 4)))
         assert all(not g.any() for g in grads)
 
     def test_finite_difference_all_parameters(self, rng):
-        X = rng.normal(size=(4, 5))
+        X = rng.normal(size=(1, 4, 5))
         params = init_convrr_params(5, depth=2, window=3, scale=0.8, rng=rng, dtype=np.float64)
-        up = rng.normal(size=5)
-        grads, gx = convrr_backward(X, params, up)
+        up = rng.normal(size=(1, 5))
+        _, cache = convrr_forward_many(X, params)
+        grads, gx = convrr_backward_many(params, cache, up)
         tensors = params.tensors()
         for i in range(len(tensors)):
             def f(z, i=i):
                 replaced = list(tensors)
                 replaced[i] = z
-                return float(np.dot(convrr_forward(X, params.replace_tensors(replaced)), up))
+                return float(np.sum(convrr_forward_many(X, params.replace_tensors(replaced))[0] * up))
 
             assert finite_diff_check(f, tensors[i], grads[i]) < 1e-5
 
         def f_x(z):
-            return float(np.dot(convrr_forward(z, params), up))
+            return float(np.sum(convrr_forward_many(z, params)[0] * up))
 
         assert finite_diff_check(f_x, X, gx) < 1e-5
+
+
+def _fcrr_forward(x, params):
+    """One text's row from the batched forward."""
+    return fcrr_forward_many(x[None], params)[0][0]
 
 
 class TestFCRR:
@@ -147,29 +158,30 @@ class TestFCRR:
         params.weight[:] = 0
         params.bias[:] = 0
         mean = X.mean(axis=0)
-        assert np.allclose(fcrr_forward(X, params), mean / np.linalg.norm(mean), atol=1e-15)
+        assert np.allclose(_fcrr_forward(X, params), mean / np.linalg.norm(mean), atol=1e-15)
 
     def test_single_row_residual_is_the_row(self, rng):
         x = rng.normal(size=(1, 4))
         params = init_fcrr_params(4, rng=rng, dtype=np.float64)
         params.weight[:] = 0
         params.bias[:] = 0
-        assert np.allclose(fcrr_forward(x, params), x[0] / np.linalg.norm(x[0]), atol=1e-15)
+        assert np.allclose(_fcrr_forward(x, params), x[0] / np.linalg.norm(x[0]), atol=1e-15)
 
     def test_finite_difference(self, rng):
-        X = rng.normal(size=(3, 5))
+        X = rng.normal(size=(1, 3, 5))
         params = init_fcrr_params(5, scale=0.6, rng=rng, dtype=np.float64)
-        up = rng.normal(size=5)
-        grads, gx = fcrr_backward(X, params, up)
+        up = rng.normal(size=(1, 5))
+        _, cache = fcrr_forward_many(X, params)
+        grads, gx = fcrr_backward_many(params, cache, up)
 
         def f_w(z):
-            return float(np.dot(fcrr_forward(X, params.replace_tensors([z, params.bias])), up))
+            return float(np.sum(fcrr_forward_many(X, params.replace_tensors([z, params.bias]))[0] * up))
 
         def f_b(z):
-            return float(np.dot(fcrr_forward(X, params.replace_tensors([params.weight, z])), up))
+            return float(np.sum(fcrr_forward_many(X, params.replace_tensors([params.weight, z]))[0] * up))
 
         def f_x(z):
-            return float(np.dot(fcrr_forward(z, params), up))
+            return float(np.sum(fcrr_forward_many(z, params)[0] * up))
 
         assert finite_diff_check(f_w, params.weight, grads[0]) < 1e-5
         assert finite_diff_check(f_b, params.bias, grads[1]) < 1e-5
@@ -179,7 +191,7 @@ class TestFCRR:
 def _encoder(kind, dim, rng, dtype):
     if kind == "convrr":
         return init_convrr_params(dim, window=3, scale=0.7, rng=rng, dtype=dtype), convrr_forward
-    return init_fcrr_params(dim, scale=0.7, rng=rng, dtype=dtype), fcrr_forward
+    return init_fcrr_params(dim, scale=0.7, rng=rng, dtype=dtype), _fcrr_forward
 
 
 class TestGroupedEncode:
@@ -215,7 +227,10 @@ class TestGroupedEncode:
         assert np.array_equal(out, encode_texts(texts, params))
         assert [idxs.tolist() for idxs, _ in groups] == [[0, 2], [1, 4], [3]]
         grads = grouped_backward(params, groups, upstream)
-        per_text = [convrr_backward(x, params, g)[0] for x, g in zip(texts, upstream)]
+        per_text = [
+            convrr_backward_many(params, convrr_forward_many(x[None], params)[1], g[None])[0]
+            for x, g in zip(texts, upstream)
+        ]
         for got, parts in zip(grads, zip(*per_text)):
             assert np.allclose(got, sum(parts), atol=1e-12, rtol=0)
 
@@ -238,6 +253,14 @@ class TestTokenTexts:
         texts = TokenTexts(table, [np.array([0, 2])], ["d1"])
         got = as_token_texts(texts, "document", np.float32)
         assert got.table is table and got.name(0) == "document 'd1'"
+
+    def test_the_ids_are_held_once(self, rng):
+        table = rng.normal(size=(5, 4)).astype(np.float32)
+        texts = TokenTexts(table, [np.array([0, 2]), np.array([], np.intp), np.array([4, 1, 3])], "abc")
+        assert as_token_texts(texts, texts.kind, texts.table.dtype) is texts
+        assert as_token_texts(texts, texts.kind) is texts
+        assert [t.tolist() for t in texts.ids] == [[0, 2], [], [4, 1, 3]]
+        assert all(np.shares_memory(ids, texts.flat) for ids in texts.ids if len(ids))
 
     def test_texts_sharing_rows_encode_like_their_matrices(self, rng):
         params = init_convrr_params(4, depth=1, window=3, rng=rng)
